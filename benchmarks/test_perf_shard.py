@@ -1,13 +1,15 @@
-"""Perf: pack-indexed sharded-store open vs the per-entry directory walk.
+"""Perf: shard-indexed store open vs the per-entry directory walk.
 
-Tracks what the sharded layout + per-shard pack index buy at suite scale:
-``SuiteFrame.open_dir`` over a store of ``REPRO_SHARD_N`` synthetic v2
-summaries (default 20k locally; CI's benchmark smoke runs 100k) must open
->= 5x faster through the warm pack index than through the per-entry walk
-(one listdir/stat/read/parse round trip per entry).  Both paths must
-produce identical frames -- the index is a read-path accelerator, never a
-second source of truth.  The artifact records the measured numbers so
-the perf trajectory is visible across PRs.
+Tracks what the per-shard index files buy at suite scale:
+``SuiteFrame.open_dir`` over a depth-2 store of ``REPRO_SHARD_N``
+synthetic summaries (default 20k locally; CI's benchmark smoke runs 100k)
+must open >= 5x faster through the warm index than through the per-entry
+walk (one read/parse round trip per entry).  Warm and walk opens run as
+interleaved pairs and each side keeps its best of :data:`PAIRS`, so a
+background hiccup during one shot cannot decide the ratio.  Both paths
+must produce identical frames -- the index is a read-path accelerator,
+never a second source of truth.  The artifact records the measured
+numbers so the perf trajectory is visible across PRs.
 """
 
 import hashlib
@@ -20,16 +22,18 @@ import numpy as np
 from conftest import save_artifact
 from repro.analysis.suite import SuiteFrame
 from repro.runner import ResultCache
-from repro.runner.cache import _write_layout_marker
 
 #: Synthetic store size; CI's benchmark smoke raises this to 100000.
 N_ENTRIES = int(os.environ.get("REPRO_SHARD_N", "20000") or "20000")
 
 FLOOR = 5.0
 
+#: Interleaved warm/walk pairs; each side keeps its fastest run.
+PAIRS = 3
+
 
 def _populate(root, n):
-    """Write ``n`` minimal v2 summaries straight into a depth-2 layout.
+    """Write ``n`` minimal summaries straight into the depth-2 layout.
 
     Blobs are omitted on purpose: ``SuiteFrame`` opens summaries eagerly
     and traces lazily, so the open path under measurement never touches
@@ -59,54 +63,62 @@ def _populate(root, n):
         with open(os.path.join(entry_dir, key + ".json"), "w") as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         keys.append(key)
-    _write_layout_marker(root, 2)
     return sorted(keys)
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    value = fn()
+    return time.perf_counter() - t0, value
 
 
 def test_pack_indexed_open_dir_is_5x_faster(tmp_path):
     root = str(tmp_path / "store")
     keys = _populate(root, N_ENTRIES)
 
-    # cold open builds and persists the per-shard packs (charged once,
-    # amortised over every later open -- measured for the record only)
-    t0 = time.perf_counter()
-    cold = SuiteFrame.open_dir(root)
-    cold_s = time.perf_counter() - t0
+    # cold open builds and persists the per-shard index files (charged
+    # once, amortised over every later open -- measured for the record)
+    cold_s, cold = _timed(lambda: SuiteFrame.open_dir(root))
     assert cold.keys == keys
 
-    t0 = time.perf_counter()
-    warm = SuiteFrame.open_dir(root)
-    warm_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    flat = SuiteFrame.open_dir(root, use_index=False)
-    flat_s = time.perf_counter() - t0
+    warm_runs, walk_runs = [], []
+    for _ in range(PAIRS):
+        warm_s, warm = _timed(lambda: SuiteFrame.open_dir(root))
+        walk_s, walk = _timed(
+            lambda: SuiteFrame.open_dir(root, use_index=False)
+        )
+        warm_runs.append(warm_s)
+        walk_runs.append(walk_s)
+    warm_s, walk_s = min(warm_runs), min(walk_runs)
 
     # identical frames either way: the index only changes the read cost
-    assert warm.keys == flat.keys == keys
+    assert warm.keys == walk.keys == keys
     assert np.array_equal(
         warm.column("average_platform_power_w"),
-        flat.column("average_platform_power_w"),
+        walk.column("average_platform_power_w"),
     )
-    assert np.array_equal(warm.column("completed"), flat.column("completed"))
+    assert np.array_equal(warm.column("completed"), walk.column("completed"))
 
-    # the pack files really carry the warm path (one read per shard)
-    assert os.path.isdir(os.path.join(root, ".index"))
+    # one index file per shard really carries the warm path
+    index_dir = os.path.join(root, ".index")
+    assert sorted(os.listdir(index_dir)) == sorted(
+        {key[:2] + ".json" for key in keys}
+    )
     assert len(ResultCache(root=root, memory=False).indexed_summaries()) == (
         N_ENTRIES
     )
 
-    speedup = flat_s / warm_s
+    speedup = walk_s / warm_s
     save_artifact(
         "perf_shard.txt",
-        "SuiteFrame.open_dir over %d v2 summaries (depth-2 sharded store)\n"
-        "cold (walk + build packs):  %8.2f s\n"
-        "warm (pack index):          %8.2f s\n"
-        "per-entry walk:             %8.2f s\n"
+        "SuiteFrame.open_dir over %d summaries (depth-2 sharded store)\n"
+        "cold (walk + build index):  %8.2f s\n"
+        "warm (shard index):         %8.2f s  (best of %d)\n"
+        "per-entry walk:             %8.2f s  (best of %d)\n"
         "warm speedup vs walk: %.1fx (floor %.0fx)"
-        % (N_ENTRIES, cold_s, warm_s, flat_s, speedup, FLOOR),
+        % (N_ENTRIES, cold_s, warm_s, PAIRS, walk_s, PAIRS, speedup, FLOOR),
     )
     assert speedup >= FLOOR, (
-        "pack-indexed open only %.1fx faster than the per-entry walk"
+        "shard-indexed open only %.1fx faster than the per-entry walk"
         % speedup
     )

@@ -11,7 +11,6 @@ measured numbers so the perf trajectory is visible across PRs.
 import json
 import os
 import time
-import warnings
 
 import numpy as np
 
@@ -36,6 +35,14 @@ class _LegacyRecorder:
 
     def rows(self):
         return [list(row) for row in self._rows]
+
+
+def _rows_to_recorder(columns, rows):
+    """The pre-refactor rebuild: validate the row lists, adopt a matrix."""
+    data = np.asarray(rows, dtype=np.float64)
+    if data.ndim != 2 or data.shape[1] != len(columns):
+        raise ValueError("rows do not match %d columns" % len(columns))
+    return TraceRecorder.from_array(columns, data)
 
 
 def _interval_stream(n_rows):
@@ -79,11 +86,7 @@ def _legacy_roundtrip(intervals, tmpdir):
         )
     with open(path, "rb") as fh:
         loaded = json.loads(fh.read().decode("utf-8"))
-    # the row-oriented rebuild *is* the legacy path being measured; the
-    # shim it exercises is deprecated for production callers
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return TraceRecorder.from_rows(loaded["columns"], loaded["rows"])
+    return _rows_to_recorder(loaded["columns"], loaded["rows"])
 
 
 def _columnar_roundtrip(intervals, tmpdir, key):

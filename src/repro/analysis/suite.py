@@ -32,7 +32,6 @@ from repro.analysis.stats import (
 )
 from repro.errors import SimulationError
 from repro.runner.cache import (
-    ARTIFACT_FORMAT,
     SUMMARY_COUNT_FIELDS,
     SUMMARY_FLOAT_FIELDS,
     ResultCache,
@@ -43,7 +42,7 @@ from repro.sim.metrics import (
     performance_loss_pct_batch,
     power_savings_pct_batch,
 )
-from repro.sim.run_result import RunResult, rows_to_matrix
+from repro.sim.run_result import RunResult
 
 #: Scalar summary fields gathered into float64 columns.
 FLOAT_FIELDS = SUMMARY_FLOAT_FIELDS
@@ -104,8 +103,8 @@ class SuiteFrame:
                     "summary column %r has shape %s for %d rows"
                     % (field, values.shape, n)
                 )
-        self._trace_columns = [list(c) for c in trace_columns]
-        self._trace_loaders = list(trace_loaders)
+        self._trace_columns = list(trace_columns)
+        self._trace_loaders = trace_loaders
         self._traces: List[Optional[np.ndarray]] = [None] * n
         self.keys = list(keys) if keys is not None else None
         self.specs = list(specs) if specs is not None else None
@@ -161,16 +160,14 @@ class SuiteFrame:
 
         ``keys=None`` opens every readable entry of the cache directory
         (deterministic key order) -- by default through the per-shard
-        index (:meth:`~repro.runner.ResultCache.frame_chunks`): fully-v2
-        shards come back as pre-extracted *columnar* frame files, so a
-        warm 100k-entry store opens with a few hundred reads and no
-        per-entry work at all; ``use_index=False`` forces the per-entry
-        walk (same rows, same order).  v2 entries contribute their
-        summary JSON now and a lazily *memory-mapped* trace blob later;
-        legacy v1 entries (trace rows inline in the JSON) decode their
-        matrix on first touch -- nothing smaller exists on disk for
-        them.  With explicit ``keys``, a missing or corrupt entry
-        raises; the directory walk skips unreadable debris instead.
+        index files (:meth:`~repro.runner.ResultCache.frame_chunks`):
+        pre-extracted *columnar* frames, so a warm 100k-entry store
+        opens with a few hundred reads and no per-entry work at all;
+        ``use_index=False`` forces the per-entry walk (same rows, same
+        order).  Entries contribute their summary JSON now and a lazily
+        *memory-mapped* trace blob later.  With explicit ``keys``, a
+        missing or malformed entry raises; the directory walk skips
+        unreadable debris instead.
         """
         explicit = keys is not None
         if not explicit and use_index and specs is None:
@@ -196,7 +193,6 @@ class SuiteFrame:
         }
         completed: List[bool] = []
         trace_columns: List[List[str]] = []
-        loaders: List[TraceLoader] = []
         kept: List[str] = []
         kept_specs: List[RunSpec] = []
         for i, (key, payload) in enumerate(pairs):
@@ -222,7 +218,6 @@ class SuiteFrame:
             modes.append(mode)
             completed.append(done)
             trace_columns.append(columns)
-            loaders.append(_cache_loader(cache, key, payload, mmap))
             kept.append(key)
             if specs is not None:
                 kept_specs.append(specs[i])
@@ -231,20 +226,19 @@ class SuiteFrame:
             modes=modes,
             scalars=_scalar_columns(rows, completed),
             trace_columns=trace_columns,
-            trace_loaders=loaders,
+            trace_loaders=_CacheTraces(cache, kept, mmap),
             keys=kept,
             specs=kept_specs if specs is not None else None,
         )
 
     @classmethod
     def _from_chunks(cls, cache: ResultCache, mmap: bool) -> "SuiteFrame":
-        """Whole-directory open through the per-shard columnar chunks.
+        """Whole-directory open through the per-shard columnar frames.
 
-        ``("cols", ...)`` chunks splice straight into the column lists
-        (C-speed extends, one cheap loader closure per row); ``("rows",
-        ...)`` chunks -- shards still holding v1 or malformed entries --
-        extract row by row under the exact :func:`summary_row` rule the
-        walk path applies, so both paths keep identical rows.
+        Each frame splices straight into the column lists (C-speed
+        extends, no per-row work at all); the index files hold
+        exactly the rows :func:`summary_row` accepts, so this path and
+        the walk keep identical rows.
         """
         benchmarks: List[str] = []
         modes: List[str] = []
@@ -253,46 +247,23 @@ class SuiteFrame:
         }
         completed: List[bool] = []
         trace_columns: List[List[str]] = []
-        loaders: List[TraceLoader] = []
         kept: List[str] = []
-        for kind, chunk in cache.frame_chunks():
-            if kind == "cols":
-                chunk_keys = chunk["keys"]
-                kept.extend(chunk_keys)
-                benchmarks.extend(chunk["benchmark"])
-                modes.extend(chunk["mode"])
-                completed.extend(chunk["completed"])
-                for field in FLOAT_FIELDS + COUNT_FIELDS:
-                    rows[field].extend(chunk[field])
-                tables = chunk["trace_columns"]
-                trace_columns.extend(
-                    tables[i] for i in chunk["trace_col_idx"]
-                )
-                loaders.extend(
-                    _v2_loader(cache, key, mmap) for key in chunk_keys
-                )
-                continue
-            for key, payload in chunk:
-                row = summary_row(payload)
-                if row is None:
-                    continue
-                floats, counts, benchmark, mode, done, columns = row
-                for field, value in zip(FLOAT_FIELDS, floats):
-                    rows[field].append(value)
-                for field, value in zip(COUNT_FIELDS, counts):
-                    rows[field].append(value)
-                benchmarks.append(benchmark)
-                modes.append(mode)
-                completed.append(done)
-                trace_columns.append(columns)
-                loaders.append(_cache_loader(cache, key, payload, mmap))
-                kept.append(key)
+        for chunk in cache.frame_chunks():
+            chunk_keys = chunk["keys"]
+            kept.extend(chunk_keys)
+            benchmarks.extend(chunk["benchmark"])
+            modes.extend(chunk["mode"])
+            completed.extend(chunk["completed"])
+            for field in FLOAT_FIELDS + COUNT_FIELDS:
+                rows[field].extend(chunk[field])
+            tables = chunk["trace_columns"]
+            trace_columns.extend(tables[i] for i in chunk["trace_col_idx"])
         return cls(
             benchmarks=benchmarks,
             modes=modes,
             scalars=_scalar_columns(rows, completed),
             trace_columns=trace_columns,
-            trace_loaders=loaders,
+            trace_loaders=_CacheTraces(cache, kept, mmap),
             keys=kept,
         )
 
@@ -546,26 +517,27 @@ def _scalar_columns(
     return scalars
 
 
-def _v2_loader(cache: ResultCache, key: str, mmap: bool) -> TraceLoader:
-    """Lazy memmap handle over one v2 entry's on-disk trace blob."""
-    return partial(cache.open_trace, key, mmap)
+class _CacheTraces:
+    """Trace loaders of cache-backed rows, built on first access.
 
+    A frame over a whole store holds one row per entry; making every
+    row's loader up front would cost an allocation per entry on each
+    open.  Indexing returns the same ``open_trace`` handle a list of
+    loaders would hold.
+    """
 
-def _cache_loader(
-    cache: ResultCache, key: str, payload: dict, mmap: bool
-) -> TraceLoader:
-    """Lazy trace handle for one cached entry (memmap for v2, decode for v1)."""
-    if payload.get("artifact") == ARTIFACT_FORMAT:
-        return _v2_loader(cache, key, mmap)
-    columns = payload["trace"]["columns"]
-    rows = payload["trace"]["rows"]
+    def __init__(
+        self, cache: ResultCache, keys: List[str], mmap: bool
+    ) -> None:
+        self._open = cache.open_trace
+        self._keys = keys
+        self._mmap = mmap
 
-    def load_v1() -> np.ndarray:
-        if not rows:
-            return np.empty((0, len(columns)), dtype=np.float64)
-        return rows_to_matrix(columns, rows)
+    def __len__(self) -> int:
+        return len(self._keys)
 
-    return load_v1
+    def __getitem__(self, i: int) -> TraceLoader:
+        return partial(self._open, self._keys[i], self._mmap)
 
 
 def summarize_dir(root: str, mmap: bool = True) -> str:

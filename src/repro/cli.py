@@ -503,11 +503,11 @@ def _cmd_cache_migrate(args) -> int:
         )
         return 2
     try:
-        stats = migrate(root, fanout=args.fanout, compress=args.compress)
+        stats = migrate(root, compress=args.compress)
     except ConfigurationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    print("migrated cache at %s to fanout=%d" % (root, args.fanout))
+    print("migrated cache at %s to the depth-2 layout" % root)
     print("  " + stats.summary())
     print("  now: " + disk_usage(root).summary())
     return 0
@@ -700,21 +700,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cprune.set_defaults(func=_cmd_cache_prune)
     p_cmig = cache_sub.add_parser(
         "migrate",
-        help="reshard the store in place (copy-then-unlink per entry: "
-             "idempotent, interrupt-safe, readable throughout) and "
-             "optionally transcode trace blobs",
+        help="one-shot upgrade of a legacy flat store to the depth-2 "
+             "<root>/ab/cd/ layout (atomic renames: idempotent and "
+             "interrupt-safe; flat entries read as misses until it runs) "
+             "and optional trace-blob transcoding",
     )
     p_cmig.add_argument("--cache-dir", default=default_cache_dir(),
                         help="cache directory (default: $REPRO_CACHE_DIR)")
-    p_cmig.add_argument("--fanout", type=int, choices=(1, 2), default=2,
-                        help="target shard depth: 2 = <root>/ab/cd/ "
-                             "(default, scales to ~100k+ entries), "
-                             "1 = the flat <root>/ab/ layout")
     p_cmig.add_argument("--compress", default=None,
-                        choices=("deflate", "zstd", "none"),
-                        help="transcode trace blobs: deflate (stdlib), "
-                             "zstd (needs the zstandard package) or none "
-                             "(plain npz); default keeps each blob as-is")
+                        choices=("deflate", "none"),
+                        help="transcode trace blobs: deflate (stdlib zlib) "
+                             "or none (plain npz); default keeps each blob "
+                             "as-is")
     p_cmig.set_defaults(func=_cmd_cache_migrate)
 
     p_rep = sub.add_parser(

@@ -184,8 +184,8 @@ def run_batches(
 
     ``workers`` is a ``"host:port,host:port"`` string (the
     ``ParallelRunner(workers=...)`` form) or an explicit endpoint list.
-    The model bundle is pickled once and shipped in each connection's
-    hello frame.  Raises :class:`~repro.errors.SimulationError` when a
+    The model bundle is serialised to JSON once and shipped, with its
+    fingerprint, in each connection's hello frame.  Raises :class:`~repro.errors.SimulationError` when a
     batch's execution fails on a worker (deterministic -- it would fail
     anywhere) or when every worker died with batches outstanding.
     """

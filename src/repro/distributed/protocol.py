@@ -11,7 +11,8 @@ byte-identical to one produced locally.
 
 The conversation, coordinator-first::
 
-    -> {"op": "hello", "schema": 1, "models": <base64 pickle> | null}
+    -> {"op": "hello", "schema": 1, "models": <model payload> | null,
+        "fingerprint": <model fingerprint> | null}
     <- {"op": "ready"}
     -> {"op": "run", "id": 0, "specs": [<wire spec>, ...]}
     <- {"op": "heartbeat", "id": 0}           # repeated while executing
@@ -19,9 +20,11 @@ The conversation, coordinator-first::
        | {"op": "error", "id": 0, "message": "..."}
     -> {"op": "bye"}
 
-The model bundle travels as a pickle (exactly what the in-process
-``ProcessPoolExecutor`` workers receive), so the protocol is for
-*trusted* clusters only -- same trust boundary as the pool.
+The model bundle travels as the JSON payload of the on-disk model store
+(:func:`~repro.runner.model_store.models_to_payload`) plus its
+:func:`~repro.runner.spec.model_fingerprint`; the worker rebuilds the
+bundle and refuses the session unless the fingerprints agree, so a
+frame only ever decodes to plain JSON data.
 """
 
 from __future__ import annotations
@@ -29,24 +32,24 @@ from __future__ import annotations
 import base64
 import io
 import json
-import pickle
 import socket
 import struct
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, WireError
+from repro.errors import ConfigurationError, ReproError, WireError
 from repro.runner.cache import (
     TRACE_MEMBER,
     result_to_summary,
     summary_to_result,
     trace_blob_bytes,
 )
+from repro.runner.model_store import models_to_payload, payload_to_models
+from repro.runner.spec import RunSpec, model_fingerprint
 from repro.runner.wire import WIRE_SCHEMA, spec_from_wire, spec_to_wire
 from repro.sim.models import ModelBundle
 from repro.sim.run_result import RunResult
-from repro.runner.spec import RunSpec
 
 #: Frames larger than this are rejected before allocation: a batch of
 #: trace blobs is tens of MiB, so the bound is pure protocol hygiene
@@ -113,29 +116,38 @@ def recv_frame(sock: socket.socket) -> dict:
 # ---------------------------------------------------------------------------
 def hello_payload(models: Optional[ModelBundle]) -> dict:
     """The session-opening frame carrying the (optional) model bundle."""
-    blob = (
-        base64.b64encode(pickle.dumps(models)).decode("ascii")
-        if models is not None
-        else None
-    )
-    return {"op": "hello", "schema": WIRE_SCHEMA, "models": blob}
+    return {
+        "op": "hello",
+        "schema": WIRE_SCHEMA,
+        "models": models_to_payload(models) if models is not None else None,
+        "fingerprint": model_fingerprint(models),
+    }
 
 
 def models_from_hello(payload: dict) -> Optional[ModelBundle]:
-    """Decode the hello frame's model bundle (None when it ships none)."""
+    """Decode the hello frame's model bundle (None when it ships none).
+
+    Raises :class:`ProtocolError` on a malformed payload or when the
+    rebuilt bundle's fingerprint differs from the one the frame carries.
+    """
     if payload.get("schema") != WIRE_SCHEMA:
         raise ProtocolError(
             "hello has unsupported schema %r (this build speaks %d)"
             % (payload.get("schema"), WIRE_SCHEMA)
         )
-    blob = payload.get("models")
-    if blob is None:
+    raw = payload.get("models")
+    if raw is None:
         return None
-    models = pickle.loads(base64.b64decode(blob))
-    if not isinstance(models, ModelBundle):
+    try:
+        models = payload_to_models(raw)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ReproError) as exc:
         raise ProtocolError(
-            "hello models decoded to %s, not a ModelBundle"
-            % type(models).__name__
+            "hello carries a malformed model payload: %r" % (exc,)
+        ) from None
+    if model_fingerprint(models) != payload.get("fingerprint"):
+        raise ProtocolError(
+            "hello model payload does not match its fingerprint"
         )
     return models
 

@@ -21,18 +21,15 @@ from repro.runner.cache import (
     MigrateStats,
     ResultCache,
     TRACE_BLOB_SUFFIX,
-    available_codecs,
     default_cache_dir,
     disk_usage,
     load_trace_blob,
     migrate,
     payload_bytes,
-    payload_to_result,
     prune,
     result_bytes,
     result_to_payload,
     result_to_summary,
-    store_depth,
     summary_to_result,
     trace_blob_bytes,
 )
@@ -92,12 +89,10 @@ __all__ = [
     "DiskUsage",
     "MigrateStats",
     "TRACE_BLOB_SUFFIX",
-    "available_codecs",
     "build_simulator",
     "default_batch",
     "disk_usage",
     "migrate",
-    "store_depth",
     "execute_batch",
     "execute_schedule",
     "execute_schedules",
@@ -127,7 +122,6 @@ __all__ = [
     "matrix_to_wire",
     "model_fingerprint",
     "payload_bytes",
-    "payload_to_result",
     "result_bytes",
     "result_to_payload",
     "spec_from_wire",

@@ -1,44 +1,37 @@
 """Content-addressed result cache for closed-loop runs.
 
-Entries live under ``<root>/<key[:2]>/`` (the *flat* layout, depth 1) or
-``<root>/<key[:2]>/<key[2:4]>/`` (the *sharded* layout, depth 2 -- 65536
-fan-out directories for ~100k+ run stores) where ``key`` is the
-:func:`repro.runner.spec.spec_key` of the experiment.  A store's write
-depth is recorded in a ``.layout.json`` marker; **reads always probe
-both depths**, so a depth-2 writer reads a legacy flat store
-transparently and vice versa, and ``repro-dtpm cache migrate`` can
-reshard a live store in place (copy-then-unlink per entry, re-runnable
-after an interruption).
+Entries live under ``<root>/<key[:2]>/<key[2:4]>/`` (65536 fan-out
+directories, so ~100k+ run stores stay cheap to list) where ``key`` is
+the :func:`repro.runner.spec.spec_key` of the experiment.  Each entry is
+a small ``<key>.json`` *summary* (scalars + ``"artifact": 2`` + trace
+shape) next to a ``<key>.npz`` binary trace blob -- the blob is written
+first and the summary last, so the summary is the commit point.  The
+blob stores the ``(rows, columns)`` float64 matrix uncompressed, so
+loading is a single binary read (or a memory map via ``mmap=True``) and
+the round trip is numerically exact by construction.
 
-Two artifact layouts coexist:
+``compress="deflate"`` stores new trace blobs through stdlib zlib as
+``<key>.npz.z``.  Compression never changes a result: the blob
+decompresses to the exact npz bytes an uncompressed store would hold.
+Memory-mapped readers *rehydrate* a compressed blob on first touch --
+decompress to the uncompressed ``.npz`` beside the summary, drop the
+compressed file, then map -- so ``mmap=True`` keeps its lazy-pages
+property at the cost of one write per first touch.
 
-* **v1** (legacy): one ``<key>.json`` holding the whole result including
-  every trace row as canonical JSON.  Still read transparently; no new
-  v1 entries are written.
-* **v2** (current): a small ``<key>.json`` *summary* (scalars +
-  ``"artifact": 2`` + trace shape) next to a ``<key>.npz`` binary trace
-  blob -- the summary is written last and is the commit point.  The blob
-  stores the ``(rows, columns)`` float64 matrix uncompressed, so loading
-  is a single binary read (or a memory map via ``mmap=True``) and the
-  round trip is numerically exact by construction.
+Bulk readers (:meth:`ResultCache.frame_chunks`, feeding
+``SuiteFrame.open_dir``, and :meth:`ResultCache.indexed_summaries`) ride
+one columnar *index file* per top-level shard at
+``<root>/.index/<shard>.json``, holding every summary field of the shard
+and validated against the shard directories' mtimes -- a warm
+100k-entry store opens with ~256 reads instead of ~100k.
 
-Trace blobs may optionally be stored *compressed* (``compress="deflate"``
-via stdlib zlib, suffix ``.npz.z``; ``compress="zstd"`` via the optional
-``zstandard`` package, suffix ``.npz.zst``).  Compression never changes
-a result: the blob decompresses to the exact npz bytes an uncompressed
-store would hold.  Memory-mapped readers *rehydrate* a compressed blob
-on first touch -- decompress to the uncompressed ``.npz`` beside the
-summary, drop the compressed file, then map -- so ``mmap=True`` keeps
-its lazy-pages property at the cost of one write per first touch.
+Stores written before the depth-2 layout kept entries directly under
+``<root>/<key[:2]>/``.  Those entries read as misses (never as wrong
+results) until ``repro-dtpm cache migrate`` moves them down; :func:`migrate`
+is the only code that knows that layout.
 
-Bulk readers (:meth:`ResultCache.indexed_summaries`, feeding
-``SuiteFrame.open_dir``) ride a per-shard *pack index* under
-``<root>/.index/``: one JSON file per top-level shard holding every v2
-summary payload, validated against the shard directories' mtimes -- a
-warm 100k-entry store opens with ~256 reads instead of ~100k.
-
-The v1 JSON rendering remains the canonical *byte-identity* unit
-(:func:`result_bytes`): deterministic (sorted keys, repr-round-tripped
+The whole-result JSON rendering (:func:`result_bytes`) is the canonical
+*byte-identity* unit: deterministic (sorted keys, repr-round-tripped
 floats), so two equal :class:`RunResult` objects serialise to
 byte-identical payloads -- which is also how the test-suite checks
 serial, parallel, distributed and cached execution agree.
@@ -54,6 +47,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import struct
 import tempfile
 import threading
@@ -61,17 +55,12 @@ import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.run_result import RunResult, TraceRecorder, rows_to_matrix
-
-try:  # optional dependency: gated, never required
-    import zstandard as _zstandard  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised where zstd is absent
-    _zstandard = None
+from repro.sim.run_result import RunResult, TraceRecorder
 
 #: Environment variable pointing the default cache at a shared directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -79,36 +68,23 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Version tag of the on-disk artifact layout written by this code.
 ARTIFACT_FORMAT = 2
 
-#: Suffix of the binary trace blob sitting next to a v2 summary.
+#: Suffix of the binary trace blob sitting next to a summary.
 TRACE_BLOB_SUFFIX = ".npz"
+
+#: Suffix of a deflate-compressed trace blob.
+COMPRESSED_SUFFIX = ".npz.z"
+
+#: Every suffix a trace blob may carry, in read-preference order.
+BLOB_SUFFIXES: Tuple[str, str] = (TRACE_BLOB_SUFFIX, COMPRESSED_SUFFIX)
 
 #: Name of the trace matrix inside the npz container.
 TRACE_MEMBER = "data"
 
-#: Blob codec -> on-disk suffix of the compressed trace blob.
-CODEC_SUFFIXES: Dict[str, str] = {
-    "deflate": ".npz.z",
-    "zstd": ".npz.zst",
-}
+#: Directory (under the root) holding the per-shard index files.
+INDEX_DIR = ".index"
 
-#: Every suffix a trace blob may carry, longest (most specific) first.
-BLOB_SUFFIXES: Tuple[str, ...] = (
-    CODEC_SUFFIXES["zstd"],
-    CODEC_SUFFIXES["deflate"],
-    TRACE_BLOB_SUFFIX,
-)
-
-#: Name of the store-layout marker file under the cache root.
-LAYOUT_MARKER = ".layout.json"
-
-#: Directory (under the root) holding the per-shard pack index files.
-PACK_DIR = ".index"
-
-#: Version tag of the pack-index payload.
-PACK_FORMAT = 1
-
-#: Version tag of the per-shard columnar frame file payload.
-FRAME_FORMAT = 1
+#: Version tag of the per-shard index file payload.
+INDEX_FORMAT = 1
 
 #: Scalar summary fields analytics gathers into float64 columns.
 SUMMARY_FLOAT_FIELDS: Tuple[str, ...] = (
@@ -125,17 +101,35 @@ SUMMARY_COUNT_FIELDS: Tuple[str, ...] = (
     "cores_offlined",
 )
 
+#: Every scalar field of a result: summary payload keys, RunResult
+#: constructor arguments and per-row lists of an index file alike.
+_PAYLOAD_FIELDS: Tuple[str, ...] = (
+    ("benchmark", "mode", "completed")
+    + SUMMARY_FLOAT_FIELDS
+    + SUMMARY_COUNT_FIELDS
+)
+
 
 def summary_row(payload: dict) -> Optional[tuple]:
     """One summary payload as frame-row fields, or None if malformed.
 
     The single extraction rule shared by :class:`SuiteFrame`'s row loop
-    and the per-shard frame files, so both open paths keep or skip
-    exactly the same entries.  Returns ``(floats, counts, benchmark,
-    mode, completed, trace_columns)``.
+    and the per-shard index files, so both open paths keep or skip
+    exactly the same entries.  Only current-artifact summaries with a
+    trace length and string lists of notes and trace columns qualify.
+    Returns ``(floats, counts, benchmark, mode, completed,
+    trace_columns)``.
     """
     try:
+        if payload["artifact"] != ARTIFACT_FORMAT:
+            return None
+        notes = payload["notes"]
         columns = list(payload["trace"]["columns"])
+        if not isinstance(notes, list) or not all(
+            isinstance(text, str) for text in notes + columns
+        ):
+            return None
+        int(payload["trace"]["length"])
         return (
             [float(payload[f]) for f in SUMMARY_FLOAT_FIELDS],
             [int(payload[f]) for f in SUMMARY_COUNT_FIELDS],
@@ -148,51 +142,21 @@ def summary_row(payload: dict) -> Optional[tuple]:
         return None
 
 
+def _scalar_payload(result: RunResult) -> dict:
+    """Every summary field of a result except the trace."""
+    payload = {name: getattr(result, name) for name in _PAYLOAD_FIELDS}
+    payload["notes"] = list(result.notes)
+    return payload
+
+
 def result_to_payload(result: RunResult) -> dict:
     """Serialise a RunResult to a JSON-able payload (lossless for floats)."""
-    return {
-        "benchmark": result.benchmark,
-        "mode": result.mode,
-        "completed": result.completed,
-        "execution_time_s": result.execution_time_s,
-        "average_platform_power_w": result.average_platform_power_w,
-        "energy_j": result.energy_j,
-        "interventions": result.interventions,
-        "violations_predicted": result.violations_predicted,
-        "cluster_migrations": result.cluster_migrations,
-        "cores_offlined": result.cores_offlined,
-        "notes": list(result.notes),
-        "trace": {
-            "columns": result.trace.columns,
-            "rows": result.trace.array().tolist(),
-        },
+    payload = _scalar_payload(result)
+    payload["trace"] = {
+        "columns": result.trace.columns,
+        "rows": result.trace.array().tolist(),
     }
-
-
-def payload_to_result(payload: dict) -> RunResult:
-    """Rebuild a RunResult from :func:`result_to_payload` output."""
-    columns = payload["trace"]["columns"]
-    rows = payload["trace"]["rows"]
-    if rows:
-        trace = TraceRecorder.from_array(
-            columns, rows_to_matrix(columns, rows)
-        )
-    else:
-        trace = TraceRecorder(columns)
-    return RunResult(
-        benchmark=payload["benchmark"],
-        mode=payload["mode"],
-        completed=payload["completed"],
-        execution_time_s=payload["execution_time_s"],
-        average_platform_power_w=payload["average_platform_power_w"],
-        energy_j=payload["energy_j"],
-        trace=trace,
-        interventions=payload["interventions"],
-        violations_predicted=payload["violations_predicted"],
-        cluster_migrations=payload["cluster_migrations"],
-        cores_offlined=payload["cores_offlined"],
-        notes=list(payload["notes"]),
-    )
+    return payload
 
 
 def payload_bytes(payload: dict) -> bytes:
@@ -208,52 +172,31 @@ def result_bytes(result: RunResult) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# v2 artifacts: summary JSON + binary trace blob
+# artifacts: summary JSON + binary trace blob
 # ---------------------------------------------------------------------------
 def result_to_summary(result: RunResult) -> dict:
-    """The v2 summary payload: everything except the trace rows."""
-    return {
-        "artifact": ARTIFACT_FORMAT,
-        "benchmark": result.benchmark,
-        "mode": result.mode,
-        "completed": result.completed,
-        "execution_time_s": result.execution_time_s,
-        "average_platform_power_w": result.average_platform_power_w,
-        "energy_j": result.energy_j,
-        "interventions": result.interventions,
-        "violations_predicted": result.violations_predicted,
-        "cluster_migrations": result.cluster_migrations,
-        "cores_offlined": result.cores_offlined,
-        "notes": list(result.notes),
-        "trace": {
-            "columns": result.trace.columns,
-            "length": len(result.trace),
-        },
+    """The summary payload: everything except the trace rows."""
+    payload = _scalar_payload(result)
+    payload["artifact"] = ARTIFACT_FORMAT
+    payload["trace"] = {
+        "columns": result.trace.columns,
+        "length": len(result.trace),
     }
+    return payload
 
 
 def summary_to_result(payload: dict, trace_data: np.ndarray) -> RunResult:
-    """Rebuild a RunResult from a v2 summary and its trace matrix."""
+    """Rebuild a RunResult from a summary and its trace matrix."""
     meta = payload["trace"]
     if trace_data.shape != (int(meta["length"]), len(meta["columns"])):
         raise SimulationError(
             "trace blob shape %s does not match summary %s x %d"
             % (trace_data.shape, meta["length"], len(meta["columns"]))
         )
-    trace = TraceRecorder.from_array(meta["columns"], trace_data)
     return RunResult(
-        benchmark=payload["benchmark"],
-        mode=payload["mode"],
-        completed=payload["completed"],
-        execution_time_s=payload["execution_time_s"],
-        average_platform_power_w=payload["average_platform_power_w"],
-        energy_j=payload["energy_j"],
-        trace=trace,
-        interventions=payload["interventions"],
-        violations_predicted=payload["violations_predicted"],
-        cluster_migrations=payload["cluster_migrations"],
-        cores_offlined=payload["cores_offlined"],
+        trace=TraceRecorder.from_array(meta["columns"], trace_data),
         notes=list(payload["notes"]),
+        **{name: payload[name] for name in _PAYLOAD_FIELDS},
     )
 
 
@@ -264,52 +207,11 @@ def trace_blob_bytes(result: RunResult) -> bytes:
     return buf.getvalue()
 
 
-# ---------------------------------------------------------------------------
-# optional blob compression (deflate via stdlib zlib; zstd when available)
-# ---------------------------------------------------------------------------
-def available_codecs() -> Tuple[str, ...]:
-    """Blob codecs this interpreter can actually use."""
-    codecs = ["deflate"]
-    if _zstandard is not None:
-        codecs.append("zstd")
-    return tuple(codecs)
-
-
-def _check_codec(codec: str) -> None:
-    if codec not in CODEC_SUFFIXES:
+def _check_codec(codec: Optional[str]) -> None:
+    if codec not in (None, "deflate"):
         raise ConfigurationError(
-            "unknown blob codec %r (choose from %s)"
-            % (codec, ", ".join(sorted(CODEC_SUFFIXES)))
+            "unknown blob codec %r (the only codec is 'deflate')" % (codec,)
         )
-    if codec == "zstd" and _zstandard is None:
-        raise ConfigurationError(
-            "blob codec 'zstd' needs the optional zstandard package "
-            "(not installed); use 'deflate' or install zstandard"
-        )
-
-
-def compress_blob(data: bytes, codec: str) -> bytes:
-    """Compress raw npz blob bytes with one of :data:`CODEC_SUFFIXES`."""
-    _check_codec(codec)
-    if codec == "deflate":
-        return zlib.compress(data, 6)
-    return _zstandard.ZstdCompressor().compress(data)
-
-
-def decompress_blob(data: bytes, codec: str) -> bytes:
-    """Invert :func:`compress_blob`."""
-    _check_codec(codec)
-    if codec == "deflate":
-        return zlib.decompress(data)
-    return _zstandard.ZstdDecompressor().decompress(data)
-
-
-def _blob_codec(path: str) -> Optional[str]:
-    """The codec a blob path's suffix implies (None = uncompressed)."""
-    for codec, suffix in CODEC_SUFFIXES.items():
-        if path.endswith(suffix):
-            return codec
-    return None
 
 
 def _blob_key(name: str) -> Optional[str]:
@@ -359,17 +261,15 @@ def _mmap_npz_member(path: str, name: str) -> np.ndarray:
 
 
 def load_trace_blob(path: str, mmap: bool = False) -> np.ndarray:
-    """Load (or memory-map) the trace matrix of a v2 blob file.
+    """Load (or memory-map) the trace matrix of a blob file.
 
-    Compressed blobs (``.npz.z`` / ``.npz.zst``) decompress in memory;
-    memory-mapping them goes through
-    :meth:`ResultCache.open_trace`, which rehydrates the uncompressed
-    file first so the map has real bytes to point at.
+    Compressed ``.npz.z`` blobs decompress in memory; memory-mapping
+    them goes through :meth:`ResultCache.open_trace`, which rehydrates
+    the uncompressed file first so the map has real bytes to point at.
     """
-    codec = _blob_codec(path)
-    if codec is not None:
+    if path.endswith(COMPRESSED_SUFFIX):
         with open(path, "rb") as fh:
-            raw = decompress_blob(fh.read(), codec)
+            raw = zlib.decompress(fh.read())
         with np.load(io.BytesIO(raw)) as npz:
             return npz[TRACE_MEMBER]
     if mmap:
@@ -388,38 +288,6 @@ def default_cache_dir() -> Optional[str]:
     return path or None
 
 
-# ---------------------------------------------------------------------------
-# store layout (shard depth) marker
-# ---------------------------------------------------------------------------
-def store_depth(root: str) -> int:
-    """The shard depth a store's ``.layout.json`` marker declares (1 or 2).
-
-    A missing or unreadable marker means the legacy single-level layout
-    (depth 1) -- every store written before the marker existed.
-    """
-    try:
-        with open(os.path.join(root, LAYOUT_MARKER), "rb") as fh:
-            payload = json.loads(fh.read().decode("utf-8"))
-        depth = int(payload["depth"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return 1
-    return depth if depth in (1, 2) else 1
-
-
-def _write_layout_marker(root: str, depth: int) -> None:
-    os.makedirs(root, exist_ok=True)
-    ResultCache._atomic_write(
-        os.path.join(root, LAYOUT_MARKER),
-        payload_bytes({"depth": depth}),
-    )
-
-
-def _entry_dir(root: str, key: str, depth: int) -> str:
-    if depth == 2:
-        return os.path.join(root, key[:2], key[2:4])
-    return os.path.join(root, key[:2])
-
-
 @dataclass
 class CacheStats:
     """Hit/miss/store counters of one ResultCache instance."""
@@ -432,20 +300,15 @@ class CacheStats:
 class ResultCache:
     """Content-addressed RunResult store (in-memory + optional disk).
 
-    ``mmap=True`` memory-maps v2 trace blobs on read instead of loading
+    ``mmap=True`` memory-maps trace blobs on read instead of loading
     them eagerly -- suite-scale consumers that only touch a column or two
     of each trace then never pull whole blobs into memory.  Mapped traces
     are read-only views; appending to them copies first.
 
-    ``fanout`` picks the shard depth new entries are written at: ``1``
-    (``<root>/ab/``, the legacy flat layout), ``2`` (``<root>/ab/cd/``),
-    or ``None`` (default) to adopt whatever the store's layout marker
-    declares.  Reads always probe both depths, so mixed and mid-migration
-    stores stay fully readable.
-
-    ``compress`` writes new trace blobs through a codec (``"deflate"``
-    via stdlib zlib or ``"zstd"`` when the zstandard package is
-    installed); reads handle any mix of compressed and plain blobs
+    ``fanout`` names the shard depth and accepts only ``2``
+    (``<root>/ab/cd/``); flat stores are upgraded once with
+    :func:`migrate`.  ``compress="deflate"`` writes new trace blobs
+    through stdlib zlib; reads handle compressed and plain blobs
     regardless of this setting.
     """
 
@@ -454,27 +317,22 @@ class ResultCache:
         root: Optional[str] = None,
         memory: bool = True,
         mmap: bool = False,
-        fanout: Optional[int] = None,
+        fanout: int = 2,
         compress: Optional[str] = None,
     ) -> None:
         if root is None and not memory:
             raise SimulationError(
                 "a cache needs a root directory or the memory layer"
             )
+        if fanout != 2:
+            raise ConfigurationError(
+                "fanout must be 2 (the <root>/ab/cd/ layout; upgrade flat "
+                "stores with `repro-dtpm cache migrate`), got %r" % (fanout,)
+            )
+        _check_codec(compress)
         self.root = (
             os.path.abspath(os.path.expanduser(root)) if root else None
         )
-        if fanout is None:
-            depth = store_depth(self.root) if self.root is not None else 1
-        elif fanout in (1, 2):
-            depth = int(fanout)
-        else:
-            raise ConfigurationError(
-                "fanout must be 1 (flat) or 2 (sharded), got %r" % (fanout,)
-            )
-        self.depth = depth
-        if compress is not None:
-            _check_codec(compress)
         self.compress = compress
         self.mmap = mmap
         self._lock = threading.Lock()
@@ -485,7 +343,6 @@ class ResultCache:
             {} if memory else None
         )
         self.stats = CacheStats()  # guarded-by: _lock
-        self._marker_written = False  # guarded-by: _lock
 
     @classmethod
     def from_env(cls) -> "ResultCache":
@@ -493,54 +350,21 @@ class ResultCache:
         return cls(root=default_cache_dir())
 
     # ------------------------------------------------------------------
+    def _entry_dir(self, key: str) -> str:
+        assert self.root is not None
+        return os.path.join(self.root, key[:2], key[2:4])
+
     def _path(self, key: str) -> str:
-        """The summary path at this cache's *write* depth."""
-        assert self.root is not None
-        return os.path.join(
-            _entry_dir(self.root, key, self.depth), key + ".json"
-        )
-
-    def _blob_path(self, key: str) -> str:
-        """The blob path (write depth + configured codec suffix)."""
-        assert self.root is not None
-        suffix = (
-            CODEC_SUFFIXES[self.compress]
-            if self.compress is not None
-            else TRACE_BLOB_SUFFIX
-        )
-        return os.path.join(
-            _entry_dir(self.root, key, self.depth), key + suffix
-        )
-
-    def _probe_dirs(self, key: str) -> List[str]:
-        """Candidate entry directories, write depth first."""
-        assert self.root is not None
-        dirs = [_entry_dir(self.root, key, self.depth)]
-        other = _entry_dir(self.root, key, 3 - self.depth)
-        dirs.append(other)
-        return dirs
-
-    def _find_summary(self, key: str) -> Optional[str]:
-        """The existing summary path for ``key`` at either depth."""
-        if self.root is None:
-            return None
-        for base in self._probe_dirs(key):
-            path = os.path.join(base, key + ".json")
-            if os.path.exists(path):
-                return path
-        return None
+        """The summary path of ``key``."""
+        return os.path.join(self._entry_dir(key), key + ".json")
 
     def _find_blob(self, key: str) -> Optional[str]:
-        """The existing trace blob for ``key``: any depth, plain first."""
-        if self.root is None:
-            return None
-        for base in self._probe_dirs(key):
-            for suffix in (TRACE_BLOB_SUFFIX,) + tuple(
-                CODEC_SUFFIXES.values()
-            ):
-                path = os.path.join(base, key + suffix)
-                if os.path.exists(path):
-                    return path
+        """The existing trace blob for ``key``, plain first."""
+        base = self._entry_dir(key)
+        for suffix in BLOB_SUFFIXES:
+            path = os.path.join(base, key + suffix)
+            if os.path.exists(path):
+                return path
         return None
 
     def _read_trace(self, key: str, mmap: bool) -> np.ndarray:
@@ -555,12 +379,11 @@ class ResultCache:
         path = self._find_blob(key)
         if path is None:
             raise SimulationError("no trace blob for cache entry %s" % key)
-        codec = _blob_codec(path)
-        if codec is None or not mmap:
+        if not mmap or not path.endswith(COMPRESSED_SUFFIX):
             return load_trace_blob(path, mmap=mmap)
         with open(path, "rb") as fh:
-            raw = decompress_blob(fh.read(), codec)
-        plain = path[: -len(CODEC_SUFFIXES[codec])] + TRACE_BLOB_SUFFIX
+            raw = zlib.decompress(fh.read())
+        plain = path[: -len(COMPRESSED_SUFFIX)] + TRACE_BLOB_SUFFIX
         self._atomic_write(plain, raw)
         try:
             os.unlink(path)
@@ -569,9 +392,9 @@ class ResultCache:
         return load_trace_blob(plain, mmap=True)
 
     def _load_disk(self, key: str) -> Optional[RunResult]:
-        path = self._find_summary(key)
-        if path is None:
+        if self.root is None:
             return None
+        path = self._path(key)
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -579,14 +402,16 @@ class ResultCache:
             return None
         try:
             payload = json.loads(blob.decode("utf-8"))
-            if payload.get("artifact") == ARTIFACT_FORMAT:
-                data = self._read_trace(key, mmap=self.mmap)
-                result = summary_to_result(payload, data)
-            else:
-                # v1 entry: whole trace inline as JSON rows
-                result = payload_to_result(payload)
+            if (
+                not isinstance(payload, dict)
+                or payload.get("artifact") != ARTIFACT_FORMAT
+            ):
+                return None  # foreign or superseded artifact: a miss
+            result = summary_to_result(
+                payload, self._read_trace(key, mmap=self.mmap)
+            )
         except (OSError, ValueError, KeyError, SimulationError,
-                zipfile.BadZipFile):
+                zipfile.BadZipFile, zlib.error):
             # corrupt/stale entry: treat as a miss, let the writer replace it
             return None
         self._touch(path)
@@ -599,8 +424,9 @@ class ResultCache:
         :func:`prune` evicts oldest-accessed-first by the summary file's
         mtime; bumping it on every successful read makes the store an LRU
         rather than a write-order FIFO.  Failures (read-only mounts,
-        races with a pruner) are ignored -- the entry just keeps its old
-        position in the eviction order.
+        races with a pruner, entries that only live in memory) are
+        ignored -- the entry just keeps its old position in the eviction
+        order.
         """
         try:
             os.utime(path)
@@ -621,9 +447,7 @@ class ResultCache:
                 # memory-layer hits must keep the disk entry warm too, or
                 # a long-lived process would let prune() evict its hottest
                 # keys by their stale first-read stamp
-                path = self._find_summary(key)
-                if path is not None:
-                    self._touch(path)
+                self._touch(self._path(key))
             return memo
         result = self._load_disk(key)  # file I/O stays outside the lock
         with self._lock:
@@ -649,45 +473,31 @@ class ResultCache:
                 pass
             raise
 
-    def _ensure_marker(self) -> None:
-        """Record a depth-2 write layout once per instance (best effort)."""
-        with self._lock:
-            if self._marker_written:
-                return
-            self._marker_written = True
-        if self.root is not None and self.depth == 2:
-            try:
-                _write_layout_marker(self.root, self.depth)
-            except OSError:
-                pass
-
     def put(self, key: str, result: RunResult) -> None:
-        """Store a result under its content key (v2 artifact layout)."""
+        """Store a result under its content key."""
         with self._lock:
             if self._memory is not None:
                 self._memory[key] = result
         if self.root is not None:
-            self._ensure_marker()
-            path = self._path(key)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
+            base = os.path.join(self._entry_dir(key), key)
+            os.makedirs(os.path.dirname(base), exist_ok=True)
             # trace blob first, summary JSON last: the summary is the
             # commit point, so readers never see a summary without a blob
             blob = trace_blob_bytes(result)
+            keep, drop = BLOB_SUFFIXES
             if self.compress is not None:
-                blob = compress_blob(blob, self.compress)
-            self._atomic_write(self._blob_path(key), blob)
-            self._atomic_write(path, payload_bytes(result_to_summary(result)))
-            # a re-put under a different codec leaves the old variant
+                blob = zlib.compress(blob, 6)
+                keep, drop = drop, keep
+            self._atomic_write(base + keep, blob)
+            self._atomic_write(
+                base + ".json", payload_bytes(result_to_summary(result))
+            )
+            # a re-put under the other codec leaves the old variant
             # behind; drop it so the entry has exactly one blob
-            keep = os.path.basename(self._blob_path(key))
-            for suffix in BLOB_SUFFIXES:
-                name = key + suffix
-                if name == keep:
-                    continue
-                try:
-                    os.unlink(os.path.join(os.path.dirname(path), name))
-                except OSError:
-                    pass
+            try:
+                os.unlink(base + drop)
+            except OSError:
+                pass
         with self._lock:
             self.stats.stores += 1
 
@@ -705,32 +515,22 @@ class ResultCache:
     # (repro.analysis.suite opens whole directories through these)
     def keys(self) -> List[str]:
         """Every key with an on-disk summary, in deterministic order."""
-        if self.root is None or not os.path.isdir(self.root):
+        if self.root is None:
             return []
-        seen = set()
-        out: List[str] = []
-        for key, _, _ in _iter_entries(self.root):
-            if key not in seen:  # mid-migration stores list a key twice
-                seen.add(key)
-                out.append(key)
-        return out
+        return [key for key, _, _ in _iter_entries(self.root)]
 
     def load_summary(self, key: str) -> Optional[dict]:
         """One entry's summary payload, without touching its trace blob.
 
-        For v2 entries this is the small summary JSON (scalars + trace
-        shape); v1 entries return their whole legacy payload (which
-        inlines the trace rows -- nothing smaller exists on disk).
-        Returns ``None`` on a miss or a corrupt entry.  Deliberately does
-        **not** bump the LRU stamp: analytics sweeps over a suite
+        Returns ``None`` on a miss or an unparseable entry.  Deliberately
+        does **not** bump the LRU stamp: analytics sweeps over a suite
         directory are bulk reads and must not reorder the eviction queue
         wholesale.
         """
-        path = self._find_summary(key)
-        if path is None:
+        if self.root is None:
             return None
         try:
-            with open(path, "rb") as fh:
+            with open(self._path(key), "rb") as fh:
                 return json.loads(fh.read().decode("utf-8"))
         except (OSError, ValueError):
             return None
@@ -742,80 +542,54 @@ class ResultCache:
             if payload is not None:
                 yield key, payload
 
-    def indexed_summaries(self) -> List[Tuple[str, dict]]:
-        """Every ``(key, v-any summary)`` via the per-shard pack index.
+    def frame_chunks(self) -> List[dict]:
+        """One columnar frame per top-level shard, from the index files.
 
-        The bulk twin of :meth:`iter_summaries`: per top-level shard, a
-        pack file under ``<root>/.index/`` holds every v2 summary
-        payload and is validated against the shard directories' mtimes
-        (entry writes and evictions replace/unlink files, which bumps
-        the directory mtime; LRU ``utime`` stamps touch only files, so
-        reads never invalidate packs).  Stale or missing packs are
-        rebuilt from the shard and persisted best-effort, so the first
-        open after a write pays one shard scan and every later open is a
-        single JSON read.  v1 entries are listed in the pack but read
-        directly (their payloads inline whole traces -- packing them
-        would bloat the index).  Pairs come back sorted by key: the
-        exact order :meth:`keys` walks.
+        Each frame (see :func:`_build_shard_index`) holds one list per
+        summary field, keys sorted; frames come back in sorted shard
+        order, which is exactly the global order of :meth:`keys` because
+        every key is prefixed by its shard.  A shard's index file is
+        validated against its directories' mtimes (entry writes and
+        evictions replace/unlink files, which bumps the directory mtime;
+        LRU ``utime`` stamps touch only files, so reads never invalidate
+        it); a stale or missing file is rebuilt from the shard and
+        persisted best-effort, so the first open after a write pays one
+        shard scan and every later open is a single JSON read.
         """
-        if self.root is None or not os.path.isdir(self.root):
+        if self.root is None:
             return []
+        frames: List[dict] = []
+        for shard in _shards(self.root):
+            frame = _load_shard_index(self.root, shard)
+            if frame is None:
+                frame = _build_shard_index(self.root, shard)
+                _persist_shard_index(self.root, shard, frame)
+            frames.append(frame)
+        return frames
+
+    def indexed_summaries(self) -> List[Tuple[str, dict]]:
+        """Every ``(key, summary)`` pair, rebuilt from the index files.
+
+        The bulk twin of :meth:`iter_summaries`: on a well-formed store
+        both return the same pairs in the same order; entries
+        :func:`summary_row` rejects are left out here.
+        """
         out: List[Tuple[str, dict]] = []
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if _skip_dir(shard) or not os.path.isdir(shard_dir):
-                continue
-            pack = _load_shard_pack(self.root, shard)
-            if pack is None:
-                pack, frame = _build_shard_index(self.root, shard)
-                _persist_shard_index(self.root, shard, pack, frame)
-            out.extend((key, payload) for key, payload in pack["entries"])
-            for key in pack["unpacked"]:
-                payload = self.load_summary(key)
-                if payload is not None:
-                    out.append((key, payload))
-        out.sort(key=lambda pair: pair[0])
+        for frame in self.frame_chunks():
+            tables, notes = frame["trace_columns"], frame["notes"]
+            for i, key in enumerate(frame["keys"]):
+                payload = {name: frame[name][i] for name in _PAYLOAD_FIELDS}
+                payload["artifact"] = ARTIFACT_FORMAT
+                payload["notes"] = list(notes[frame["notes_idx"][i]])
+                payload["trace"] = {
+                    "columns": list(tables[frame["trace_col_idx"][i]]),
+                    "length": frame["length"][i],
+                }
+                out.append((key, payload))
         return out
 
-    def frame_chunks(self) -> List[Tuple[str, Any]]:
-        """Per-shard chunks feeding ``SuiteFrame.open_dir``'s fast path.
-
-        Returns ``("cols", frame)`` chunks -- the persisted columnar
-        frame of a fully-v2 shard (see :func:`_build_shard_frame`), so a
-        warm open never touches per-entry payloads at all -- and
-        ``("rows", pairs)`` chunks for shards that still need row-wise
-        extraction (v1 or malformed entries).  Chunks come back in
-        sorted shard order with keys sorted inside each chunk, which is
-        exactly the global order of :meth:`keys` because every key is
-        prefixed by its shard.
-        """
-        if self.root is None or not os.path.isdir(self.root):
-            return []
-        chunks: List[Tuple[str, Any]] = []
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if _skip_dir(shard) or not os.path.isdir(shard_dir):
-                continue
-            frame = _load_shard_frame(self.root, shard)
-            if frame is None:
-                pack = _load_shard_pack(self.root, shard)
-                if pack is None:
-                    pack, frame = _build_shard_index(self.root, shard)
-                    _persist_shard_index(self.root, shard, pack, frame)
-            if frame is not None:
-                chunks.append(("cols", frame))
-                continue
-            pairs = [(key, payload) for key, payload in pack["entries"]]
-            for key in pack["unpacked"]:
-                payload = self.load_summary(key)
-                if payload is not None:
-                    pairs.append((key, payload))
-            pairs.sort(key=lambda pair: pair[0])
-            chunks.append(("rows", pairs))
-        return chunks
-
     def trace_path(self, key: str) -> str:
-        """Path of the *uncompressed* v2 trace blob belonging to ``key``.
+        """Path of the *uncompressed* trace blob belonging to ``key``.
 
         Consumers stream these bytes as npz directly (e.g. the service's
         trace endpoint), so a compressed-only entry reports the path its
@@ -824,18 +598,10 @@ class ResultCache:
         """
         if self.root is None:
             raise SimulationError("cache has no root directory")
-        found = self._find_blob(key)
-        if found is not None and _blob_codec(found) is None:
-            return found
-        base = os.path.dirname(found) if found is not None else None
-        if base is not None:
-            return os.path.join(base, key + TRACE_BLOB_SUFFIX)
-        return os.path.join(
-            _entry_dir(self.root, key, self.depth), key + TRACE_BLOB_SUFFIX
-        )
+        return os.path.join(self._entry_dir(key), key + TRACE_BLOB_SUFFIX)
 
     def open_trace(self, key: str, mmap: Optional[bool] = None) -> np.ndarray:
-        """The trace matrix of one v2 entry (a memory map by default).
+        """The trace matrix of one entry (a memory map by default).
 
         ``mmap=None`` follows the cache's construction flag; analytics
         callers pass ``mmap=True`` so a whole suite directory opens as
@@ -851,113 +617,100 @@ class ResultCache:
         with self._lock:
             if self._memory is not None and key in self._memory:
                 return True
-        return self._find_summary(key) is not None
+        return self.root is not None and os.path.exists(self._path(key))
 
     def __len__(self) -> int:
         """Number of distinct entries reachable from this cache."""
         with self._lock:
             keys = set(self._memory or ())
-        if self.root is not None and os.path.isdir(self.root):
-            for key, _json_path, _blob in _iter_entries(self.root):
-                keys.add(key)
+        keys.update(self.keys())
         return len(keys)
 
 
 # ---------------------------------------------------------------------------
-# disk store walking (shared by inspection, pruning, packing, migration)
+# disk store walking (shared by inspection, pruning, indexing, migration)
 # ---------------------------------------------------------------------------
-def _skip_dir(name: str) -> bool:
-    """Top-level directories that never hold result entries."""
-    return name == "models" or name.startswith(".")
-
-
-def _entry_dirs(root: str, shard: str) -> List[str]:
-    """Directories of one shard that may hold entries (both depths)."""
-    shard_dir = os.path.join(root, shard)
-    dirs = [shard_dir]
-    subs = []
+def _subdirs(path: str) -> List[str]:
+    """Sorted names of the subdirectories of ``path`` (empty if unreadable)."""
     try:
-        with os.scandir(shard_dir) as it:
-            for entry in it:
-                if entry.is_dir():
-                    subs.append(entry.path)
+        with os.scandir(path) as it:
+            return sorted(entry.name for entry in it if entry.is_dir())
     except OSError:
-        return dirs
-    dirs.extend(sorted(subs))
-    return dirs
+        return []
 
 
-def _iter_shard_entries(
-    root: str, shard: str
-) -> Iterator[Tuple[str, str, Optional[str]]]:
-    """Yield (key, json_path, blob_path-or-None) for one shard, key order.
+def _shards(root: str) -> List[str]:
+    """Top-level shard directories, skipping ``models`` and dot dirs."""
+    return [
+        name for name in _subdirs(root)
+        if name != "models" and not name.startswith(".")
+    ]
 
-    Walks the shard directory *and* its depth-2 subdirectories, so flat,
-    sharded and mid-migration stores all enumerate completely.  A key
-    present at both depths (an interrupted migration) yields twice --
-    content-addressed entries are identical, and consumers that need
-    distinctness (``keys()``) dedupe.
+
+def _entry_dirs(root: str, shard: Optional[str] = None) -> Iterator[str]:
+    """Every depth-2 entry directory (of one shard), in key order."""
+    for name in [shard] if shard is not None else _shards(root):
+        shard_dir = os.path.join(root, name)
+        for sub in _subdirs(shard_dir):
+            yield os.path.join(shard_dir, sub)
+
+
+#: One committed entry: (key, summary path, blob path or None).
+_Entry = Tuple[str, str, Optional[str]]
+
+
+def _scan_entry_dir(entry_dir: str) -> Tuple[List[_Entry], List[str]]:
+    """One entry directory as (entries in key order, stray blobs).
+
+    A stray is a blob no reader ever opens: one whose summary never
+    landed (an interrupted writer), or the second variant of a key
+    holding both ``.npz`` and ``.npz.z`` (a crash between a rehydrate's
+    write and its unlink) -- readers take the plain one.
     """
-    found: List[Tuple[str, str]] = []
+    try:
+        names = os.listdir(entry_dir)
+    except OSError:
+        return [], []
+    summaries: List[str] = []
+    blobs: Dict[str, List[str]] = {}
+    for name in names:
+        if name.endswith(".json"):
+            summaries.append(name[: -len(".json")])
+            continue
+        key = _blob_key(name)
+        if key is not None:
+            blobs.setdefault(key, []).append(name)
+    entries: List[_Entry] = []
+    for key in sorted(summaries):
+        found = sorted(blobs.pop(key, ()))  # plain ".npz" sorts first
+        entries.append((
+            key,
+            os.path.join(entry_dir, key + ".json"),
+            os.path.join(entry_dir, found[0]) if found else None,
+        ))
+        blobs[key] = found[1:]
+    strays = sorted(
+        os.path.join(entry_dir, name)
+        for variants in blobs.values() for name in variants
+    )
+    return entries, strays
+
+
+def _iter_entries(root: str, shard: Optional[str] = None) -> Iterator[_Entry]:
+    """Yield every committed entry (of one shard), in key order."""
     for entry_dir in _entry_dirs(root, shard):
-        try:
-            names = os.listdir(entry_dir)
-        except OSError:
-            continue
-        for name in names:
-            if name.endswith(".json"):
-                found.append(
-                    (name[: -len(".json")], os.path.join(entry_dir, name))
-                )
-    found.sort()
-    for key, json_path in found:
-        base = os.path.dirname(json_path)
-        blob = None
-        for suffix in BLOB_SUFFIXES[::-1]:  # plain .npz probes first
-            candidate = os.path.join(base, key + suffix)
-            if os.path.exists(candidate):
-                blob = candidate
-                break
-        yield key, json_path, blob
-
-
-def _iter_entries(root: str) -> Iterator[Tuple[str, str, Optional[str]]]:
-    """Yield (key, json_path, blob_path-or-None) for every result entry."""
-    for shard in sorted(os.listdir(root)):
-        if _skip_dir(shard) or not os.path.isdir(os.path.join(root, shard)):
-            continue
-        yield from _iter_shard_entries(root, shard)
-
-
-def _iter_orphan_blobs(root: str, known: set) -> Iterator[str]:
-    """Blob paths whose summary never landed (interrupted writers)."""
-    for shard in sorted(os.listdir(root)):
-        if _skip_dir(shard) or not os.path.isdir(os.path.join(root, shard)):
-            continue
-        for entry_dir in _entry_dirs(root, shard):
-            try:
-                names = sorted(os.listdir(entry_dir))
-            except OSError:
-                continue
-            for name in names:
-                key = _blob_key(name)
-                if key is not None and key not in known:
-                    yield os.path.join(entry_dir, name)
+        yield from _scan_entry_dir(entry_dir)[0]
 
 
 # ---------------------------------------------------------------------------
-# per-shard pack index (the bulk read path of indexed_summaries)
+# per-shard index files (the bulk read path of frame_chunks)
 # ---------------------------------------------------------------------------
-def _pack_path(root: str, shard: str) -> str:
-    return os.path.join(root, PACK_DIR, shard + ".json")
-
-
-def _frame_path(root: str, shard: str) -> str:
-    return os.path.join(root, PACK_DIR, shard + ".frame.json")
+def _index_path(root: str, shard: str) -> str:
+    return os.path.join(root, INDEX_DIR, shard + ".json")
 
 
 def _shard_stamp(root: str, shard: str) -> Dict[str, int]:
-    """mtime_ns of every entry directory of one shard (the pack's validity).
+    """mtime_ns of every entry directory of one shard (the index's validity).
 
     File writes and unlinks inside a directory bump its mtime; ``utime``
     LRU stamps on files do not.  Creating a depth-2 subdirectory bumps
@@ -984,87 +737,59 @@ def _shard_stamp(root: str, shard: str) -> Dict[str, int]:
     return stamp
 
 
-def _build_shard_index(root: str, shard: str) -> Tuple[dict, Optional[dict]]:
-    """Scan one shard into (pack, frame-or-None) payloads.
+#: Per-row index lists into tables of distinct values.  Trace column
+#: lists and notes repeat across a suite, so rows store a small int
+#: instead of the list itself.
+_INDEX_TABLES: Dict[str, str] = {
+    "trace_col_idx": "trace_columns",
+    "notes_idx": "notes",
+}
+
+#: Every per-row list of an index file.
+_INDEX_LISTS: Tuple[str, ...] = (
+    ("keys", "length") + tuple(_INDEX_TABLES) + _PAYLOAD_FIELDS
+)
+
+
+def _build_shard_index(root: str, shard: str) -> dict:
+    """Scan one shard into its columnar index payload.
 
     The stamp is recorded *before* the scan, so a write racing the scan
-    leaves a stamp mismatch behind and the next reader rebuilds.  The
-    frame is the columnar twin of the pack -- pre-extracted
-    :func:`summary_row` columns -- and exists only when *every* entry of
-    the shard is a cleanly extractable v2 summary; shards holding v1 or
-    malformed entries fall back to row-wise reads.
+    leaves a stamp mismatch behind and the next reader rebuilds.  Rows
+    are the :func:`summary_row` extraction of every entry that rule
+    accepts (others are skipped, as the per-entry walk skips them), plus
+    ``notes`` and the trace ``length``.
     """
-    stamp = _shard_stamp(root, shard)
-    entries: List[Tuple[str, dict]] = []
-    unpacked: List[str] = []
-    seen: set = set()
-    for key, json_path, _blob in _iter_shard_entries(root, shard):
-        if key in seen:
-            continue
-        seen.add(key)
+    frame: Dict[str, Any] = {
+        name: [] for name in _INDEX_LISTS + tuple(_INDEX_TABLES.values())
+    }
+    frame["index"] = INDEX_FORMAT
+    frame["stamp"] = _shard_stamp(root, shard)
+    seen: Dict[str, Dict[Tuple[str, ...], int]] = {
+        name: {} for name in _INDEX_TABLES
+    }
+    for key, json_path, _blob in _iter_entries(root, shard):
         try:
             with open(json_path, "rb") as fh:
                 payload = json.loads(fh.read().decode("utf-8"))
         except (OSError, ValueError):
             continue  # unreadable debris: the directory walk skips it too
-        if (
-            isinstance(payload, dict)
-            and payload.get("artifact") == ARTIFACT_FORMAT
-        ):
-            entries.append((key, payload))
-        else:
-            unpacked.append(key)
-    pack = {
-        "pack": PACK_FORMAT,
-        "stamp": stamp,
-        "entries": entries,
-        "unpacked": unpacked,
-    }
-    return pack, _build_shard_frame(stamp, entries, unpacked)
-
-
-#: Column names a frame file carries one flat list for, per shard.
-_FRAME_LISTS: Tuple[str, ...] = (
-    ("keys", "benchmark", "mode", "completed", "trace_col_idx")
-    + SUMMARY_FLOAT_FIELDS
-    + SUMMARY_COUNT_FIELDS
-)
-
-
-def _build_shard_frame(
-    stamp: Dict[str, int],
-    entries: List[Tuple[str, dict]],
-    unpacked: List[str],
-) -> Optional[dict]:
-    """Columnar frame payload for one fully-v2 shard, else None.
-
-    Trace column lists repeat across a suite, so rows store an index
-    into a small table of distinct lists instead of the lists
-    themselves.
-    """
-    if unpacked:
-        return None
-    frame: Dict[str, Any] = {name: [] for name in _FRAME_LISTS}
-    frame["frame"] = FRAME_FORMAT
-    frame["stamp"] = stamp
-    frame["trace_columns"] = []
-    col_tables: Dict[Tuple[str, ...], int] = {}
-    for key, payload in entries:
         row = summary_row(payload)
         if row is None:
-            return None
+            continue
         floats, counts, benchmark, mode, completed, columns = row
-        signature = tuple(columns)
-        idx = col_tables.get(signature)
-        if idx is None:
-            idx = len(frame["trace_columns"])
-            col_tables[signature] = idx
-            frame["trace_columns"].append(columns)
+        for name, value in (
+            ("trace_col_idx", columns), ("notes_idx", payload["notes"])
+        ):
+            idx = seen[name].setdefault(tuple(value), len(seen[name]))
+            if idx == len(frame[_INDEX_TABLES[name]]):
+                frame[_INDEX_TABLES[name]].append(value)
+            frame[name].append(idx)
         frame["keys"].append(key)
+        frame["length"].append(int(payload["trace"]["length"]))
         frame["benchmark"].append(benchmark)
         frame["mode"].append(mode)
         frame["completed"].append(completed)
-        frame["trace_col_idx"].append(idx)
         for name, value in zip(SUMMARY_FLOAT_FIELDS, floats):
             frame[name].append(value)
         for name, value in zip(SUMMARY_COUNT_FIELDS, counts):
@@ -1072,73 +797,46 @@ def _build_shard_frame(
     return frame
 
 
-def _load_shard_pack(root: str, shard: str) -> Optional[dict]:
-    """A still-valid persisted pack for one shard, or None."""
+def _load_shard_index(root: str, shard: str) -> Optional[dict]:
+    """A still-valid persisted index for one shard, or None."""
     try:
-        with open(_pack_path(root, shard), "rb") as fh:
-            pack = json.loads(fh.read().decode("utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(pack, dict) or pack.get("pack") != PACK_FORMAT:
-        return None
-    if pack.get("stamp") != _shard_stamp(root, shard):
-        return None  # something was written/evicted since: rebuild
-    entries = pack.get("entries")
-    unpacked = pack.get("unpacked")
-    if not isinstance(entries, list) or not isinstance(unpacked, list):
-        return None
-    return pack
-
-
-def _load_shard_frame(root: str, shard: str) -> Optional[dict]:
-    """A still-valid persisted columnar frame for one shard, or None."""
-    try:
-        with open(_frame_path(root, shard), "rb") as fh:
+        with open(_index_path(root, shard), "rb") as fh:
             frame = json.loads(fh.read().decode("utf-8"))
     except (OSError, ValueError):
         return None
-    if not isinstance(frame, dict) or frame.get("frame") != FRAME_FORMAT:
+    if not isinstance(frame, dict) or frame.get("index") != INDEX_FORMAT:
         return None
     if frame.get("stamp") != _shard_stamp(root, shard):
         return None  # something was written/evicted since: rebuild
-    lists = [frame.get(name) for name in _FRAME_LISTS]
+    lists = [frame.get(name) for name in _INDEX_LISTS]
     if any(not isinstance(col, list) for col in lists):
         return None
     if len({len(col) for col in lists}) > 1:
         return None  # ragged columns: rebuild from the shard
-    tables = frame.get("trace_columns")
-    if not isinstance(tables, list) or not all(
-        isinstance(cols, list) for cols in tables
-    ):
-        return None
-    idx = frame["trace_col_idx"]
-    if idx and not all(
-        isinstance(i, int) and 0 <= i < len(tables) for i in idx
-    ):
-        return None
+    for idx_name, table_name in _INDEX_TABLES.items():
+        table = frame.get(table_name)
+        if not isinstance(table, list) or not all(
+            isinstance(value, list) for value in table
+        ):
+            return None
+        idx = frame[idx_name]
+        if idx and not (
+            set(map(type, idx)) == {int}
+            and min(idx) >= 0
+            and max(idx) < len(table)
+        ):
+            return None
     return frame
 
 
-def _persist_shard_index(
-    root: str, shard: str, pack: dict, frame: Optional[dict]
-) -> None:
-    """Write one shard's index files (best effort -- read-only stores
-    just rescan).  A shard that no longer qualifies for a columnar
-    frame drops its stale frame file."""
+def _persist_shard_index(root: str, shard: str, frame: dict) -> None:
+    """Write one shard's index file (best effort -- read-only stores
+    just rescan)."""
     try:
-        os.makedirs(os.path.join(root, PACK_DIR), exist_ok=True)
+        os.makedirs(os.path.join(root, INDEX_DIR), exist_ok=True)
         ResultCache._atomic_write(
-            _pack_path(root, shard), payload_bytes(pack)
+            _index_path(root, shard), payload_bytes(frame)
         )
-        if frame is not None:
-            ResultCache._atomic_write(
-                _frame_path(root, shard), payload_bytes(frame)
-            )
-        else:
-            try:
-                os.unlink(_frame_path(root, shard))
-            except FileNotFoundError:
-                pass
     except OSError:
         pass
 
@@ -1152,34 +850,32 @@ class DiskUsage:
 
     root: str
     entries: int = 0
-    v2_entries: int = 0
     result_bytes: int = 0
     blob_bytes: int = 0
     compressed_blobs: int = 0
+    index_bytes: int = 0
     model_entries: int = 0
     model_bytes: int = 0
     orphan_blobs: int = 0
     notes: List[str] = field(default_factory=list)
 
     @property
-    def v1_entries(self) -> int:
-        return self.entries - self.v2_entries
-
-    @property
     def total_bytes(self) -> int:
-        return self.result_bytes + self.blob_bytes + self.model_bytes
+        return (
+            self.result_bytes + self.blob_bytes + self.index_bytes
+            + self.model_bytes
+        )
 
     def summary(self) -> str:
         text = (
-            "%d results (%d v1 json, %d v2 json+npz), %d models, "
-            "%.1f MiB total (%.1f MiB trace blobs)"
+            "%d results, %d models, %.1f MiB total "
+            "(%.1f MiB trace blobs, %.1f MiB index)"
             % (
                 self.entries,
-                self.v1_entries,
-                self.v2_entries,
                 self.model_entries,
                 self.total_bytes / 2**20,
                 self.blob_bytes / 2**20,
+                self.index_bytes / 2**20,
             )
         )
         if self.compressed_blobs:
@@ -1187,41 +883,47 @@ class DiskUsage:
         return text
 
 
+def _dir_files(path: str) -> List[str]:
+    """Sorted paths of the files directly inside ``path``."""
+    try:
+        with os.scandir(path) as it:
+            return sorted(entry.path for entry in it if entry.is_file())
+    except OSError:
+        return []
+
+
 def disk_usage(root: str) -> DiskUsage:
-    """Inspect an on-disk cache directory (results, blobs, models)."""
+    """Inspect an on-disk cache directory (results, blobs, index, models)."""
     root = os.path.abspath(os.path.expanduser(root))
     usage = DiskUsage(root=root)
     if not os.path.isdir(root):
         usage.notes.append("directory does not exist")
         return usage
-    json_names = set()
-    for key, json_path, blob_path in _iter_entries(root):
-        usage.entries += 1
-        usage.result_bytes += os.path.getsize(json_path)
-        json_names.add(key)
-        if blob_path is not None:
-            usage.v2_entries += 1
-            usage.blob_bytes += os.path.getsize(blob_path)
-            if _blob_codec(blob_path) is not None:
-                usage.compressed_blobs += 1
-    # blobs whose summary never landed (interrupted writers)
-    for path in _iter_orphan_blobs(root, json_names):
-        usage.orphan_blobs += 1
-        usage.blob_bytes += os.path.getsize(path)
-    models_dir = os.path.join(root, "models")
-    if os.path.isdir(models_dir):
-        for name in sorted(os.listdir(models_dir)):
-            if name.endswith(".json"):
-                usage.model_entries += 1
-                usage.model_bytes += os.path.getsize(
-                    os.path.join(models_dir, name)
-                )
+    for entry_dir in _entry_dirs(root):
+        entries, strays = _scan_entry_dir(entry_dir)
+        for _key, json_path, blob_path in entries:
+            usage.entries += 1
+            usage.result_bytes += os.path.getsize(json_path)
+            if blob_path is not None:
+                usage.blob_bytes += os.path.getsize(blob_path)
+                if blob_path.endswith(COMPRESSED_SUFFIX):
+                    usage.compressed_blobs += 1
+        for path in strays:
+            usage.orphan_blobs += 1
+            usage.blob_bytes += os.path.getsize(path)
+    for path in _dir_files(os.path.join(root, INDEX_DIR)):
+        usage.index_bytes += os.path.getsize(path)
+    for path in _dir_files(os.path.join(root, "models")):
+        if path.endswith(".json"):
+            usage.model_entries += 1
+            usage.model_bytes += os.path.getsize(path)
     return usage
 
 
-#: A blob without a summary younger than this is assumed to belong to an
-#: in-flight put() (blob lands first, summary is the commit point) and is
-#: left alone; older ones are interrupted-writer debris.
+#: A stray blob younger than this is assumed to belong to an in-flight
+#: put() or rehydrate (the blob lands before its summary, or beside the
+#: variant it replaces) and is left alone; older ones are interrupted-
+#: writer debris.
 ORPHAN_GRACE_S = 300.0
 
 
@@ -1235,11 +937,11 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
     entries a warm grid keeps answering from survive, write-once-read-
     never debris goes first.  Passing ``None`` removes **every** result
     entry -- it is deliberately not a default so the full wipe is always
-    an explicit choice (the CLI's ``--all``).  Orphaned trace blobs older
-    than :data:`ORPHAN_GRACE_S` are always collected; younger ones may
-    belong to a concurrent writer whose summary has not landed yet.  The
-    model store (``<root>/models``) is never touched -- models are tiny
-    and cost ~10 s to rebuild.
+    an explicit choice (the CLI's ``--all``).  Stray trace blobs (see
+    :func:`_scan_entry_dir`) older than :data:`ORPHAN_GRACE_S` are
+    always collected; younger ones may belong to a concurrent writer.
+    The model store (``<root>/models``) is never touched -- models are
+    tiny and cost ~10 s to rebuild.
 
     Pruning is safe against concurrent readers: each entry's trace blob
     is unlinked *before* its summary, so the store never holds an
@@ -1257,18 +959,18 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
     removed = 0
     freed = 0
     entries = []
-    known = set()
-    for key, json_path, blob_path in _iter_entries(root):
-        size = os.path.getsize(json_path)
-        mtime = os.path.getmtime(json_path)
-        if blob_path is not None:
-            size += os.path.getsize(blob_path)
-        entries.append((mtime, size, json_path, blob_path))
-        known.add(key)
-    # interrupted writers leave blobs without a summary: collect the stale
-    # ones (recent ones may still get their summary -- see put())
+    strays: List[str] = []
+    for entry_dir in _entry_dirs(root):
+        found, stray = _scan_entry_dir(entry_dir)
+        strays.extend(stray)
+        for _key, json_path, blob_path in found:
+            size = os.path.getsize(json_path)
+            mtime = os.path.getmtime(json_path)
+            if blob_path is not None:
+                size += os.path.getsize(blob_path)
+            entries.append((mtime, size, json_path, blob_path))
     now = time.time()
-    for path in _iter_orphan_blobs(root, known):
+    for path in strays:
         try:
             if now - os.path.getmtime(path) < ORPHAN_GRACE_S:
                 continue
@@ -1310,7 +1012,7 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# in-place store migration (the `repro-dtpm cache migrate` subcommand)
+# one-shot store upgrade (the `repro-dtpm cache migrate` subcommand)
 # ---------------------------------------------------------------------------
 @dataclass
 class MigrateStats:
@@ -1329,124 +1031,89 @@ class MigrateStats:
         )
 
 
-def migrate(
-    root: str,
-    fanout: int = 2,
-    compress: Optional[str] = None,
-) -> MigrateStats:
-    """Reshard (and optionally transcode) a result store in place.
+def _move_down(shard_dir: str, key: str, names: List[str],
+               stats: MigrateStats) -> None:
+    """Rename one key's flat files into its depth-2 directory.
 
-    Every entry not already at the target depth/codec is *copied* to its
-    target location first (blob, then summary -- the summary is the
-    commit point there just like :meth:`ResultCache.put`) and only then
-    are the old copies unlinked (old summary first, so the store never
-    holds two committed variants longer than necessary, and an
-    interrupted pass never leaves a summary-less target).  Readers probe
-    both depths throughout, so a live store stays fully readable
-    mid-migration, and the pass is **idempotent**: re-running after an
-    interruption finds entries already at the target and only finishes
-    the pending unlinks.
+    Blobs go first and the summary last (the commit point, as in
+    :meth:`ResultCache.put`).  Flat copies of an entry already
+    committed below are dropped instead; a flat blob is kept only when
+    the entry below has none.
+    """
+    target_dir = os.path.join(shard_dir, key[2:4])
+    committed = os.path.exists(os.path.join(target_dir, key + ".json"))
+    has_blob = any(
+        os.path.exists(os.path.join(target_dir, key + suffix))
+        for suffix in BLOB_SUFFIXES
+    )
+    os.makedirs(target_dir, exist_ok=True)
+    for name in sorted(names, key=lambda n: n.endswith(".json")):
+        source = os.path.join(shard_dir, name)
+        if committed and (name.endswith(".json") or has_blob):
+            try:
+                os.unlink(source)
+                stats.cleaned += 1
+            except OSError:
+                pass
+            continue
+        os.replace(source, os.path.join(target_dir, name))
+        if name.endswith(".json"):
+            stats.moved += 1
 
-    ``compress`` transcodes trace blobs on the way: ``"deflate"`` /
-    ``"zstd"`` to that codec, ``"none"`` to plain npz, ``None`` (the
-    default) keeps each blob's current encoding.  The layout marker is
-    written last, so new writers only adopt the target depth once the
-    data is actually there.
+
+def migrate(root: str, compress: Optional[str] = None) -> MigrateStats:
+    """Upgrade a store in place to the depth-2 layout; transcode blobs.
+
+    Entries of the legacy flat layout (directly under
+    ``<root>/<key[:2]>/``) are renamed down into ``<key[:2]>/<key[2:4]>/``
+    (see :func:`_move_down`).  Renames are atomic, so every file is
+    always in exactly one place: an interrupted pass leaves each key
+    either still flat (a miss) or committed below, and re-running
+    finishes the job -- a completed store has nothing left to move.
+
+    ``compress`` then transcodes every entry's trace blob: ``"deflate"``
+    or ``"none"`` (plain npz); ``None`` (the default) keeps each blob as
+    it is.  The index directory is dropped last; it rebuilds on the next
+    bulk open.
     """
     root = os.path.abspath(os.path.expanduser(root))
-    if fanout not in (1, 2):
-        raise ConfigurationError(
-            "fanout must be 1 (flat) or 2 (sharded), got %r" % (fanout,)
-        )
-    target_codec: Optional[str] = None
-    if compress is not None and compress != "none":
-        _check_codec(compress)
-        target_codec = compress
+    target = None if compress == "none" else compress
+    _check_codec(target)
     stats = MigrateStats()
     if not os.path.isdir(root):
         return stats
-    # group every on-disk copy by key (a prior interruption may have left
-    # an entry at both depths)
-    copies: Dict[str, List[Tuple[str, Optional[str]]]] = {}
-    for key, json_path, blob_path in _iter_entries(root):
-        copies.setdefault(key, []).append((json_path, blob_path))
-    for key in sorted(copies):
+    for shard in _shards(root):
+        shard_dir = os.path.join(root, shard)
+        flat: Dict[str, List[str]] = {}
+        for path in _dir_files(shard_dir):
+            name = os.path.basename(path)
+            key = name[:-5] if name.endswith(".json") else _blob_key(name)
+            if key is not None and len(key) >= 4:
+                flat.setdefault(key, []).append(name)
+        for key in sorted(flat):
+            _move_down(shard_dir, key, flat[key], stats)
+    keep, drop = BLOB_SUFFIXES
+    if target is not None:
+        keep, drop = drop, keep
+    for key, _json, blob in _iter_entries(root):
         stats.examined += 1
-        target_dir = _entry_dir(root, key, fanout)
-        target_json = os.path.join(target_dir, key + ".json")
-        blob_suffix = (
-            CODEC_SUFFIXES[target_codec]
-            if target_codec is not None
-            else TRACE_BLOB_SUFFIX
-        )
-        # source blob: prefer one already in the target codec
-        source_blob: Optional[str] = None
-        for _json, blob in copies[key]:
-            if blob is None:
-                continue
-            if source_blob is None or _blob_codec(blob) == target_codec:
-                source_blob = blob
-        target_blob: Optional[str] = None
-        if source_blob is not None:
-            if compress is None:
-                # keep the source encoding; only the location moves
-                suffix = os.path.basename(source_blob)[len(key):]
-            else:
-                suffix = blob_suffix
-            target_blob = os.path.join(target_dir, key + suffix)
-        moved = False
-        # 1. blob into place (decode/re-encode when the codec changes)
-        if target_blob is not None and not os.path.exists(target_blob):
-            assert source_blob is not None
-            with open(source_blob, "rb") as fh:
+        if compress is None or blob is None:
+            continue
+        base = os.path.join(os.path.dirname(blob), key)
+        if blob != base + keep:
+            with open(blob, "rb") as fh:
                 raw = fh.read()
-            source_codec = _blob_codec(source_blob)
-            wanted = _blob_codec(target_blob)
-            if source_codec != wanted:
-                if source_codec is not None:
-                    raw = decompress_blob(raw, source_codec)
-                if wanted is not None:
-                    raw = compress_blob(raw, wanted)
-                stats.recompressed += 1
-            os.makedirs(target_dir, exist_ok=True)
-            ResultCache._atomic_write(target_blob, raw)
-            moved = True
-        # 2. summary into place (the commit point of the new location)
-        if not os.path.exists(target_json):
-            source_json = copies[key][0][0]
-            with open(source_json, "rb") as fh:
-                payload = fh.read()
-            os.makedirs(target_dir, exist_ok=True)
-            ResultCache._atomic_write(target_json, payload)
-            moved = True
-        if moved:
-            stats.moved += 1
-        # 3. drop every non-target copy: summaries first (readers fall
-        # back to the committed target), then blobs
-        for json_path, _blob in copies[key]:
-            if os.path.abspath(json_path) == os.path.abspath(target_json):
-                continue
-            try:
-                os.unlink(json_path)
+            if blob.endswith(COMPRESSED_SUFFIX):
+                raw = zlib.decompress(raw)
+            if target is not None:
+                raw = zlib.compress(raw, 6)
+            ResultCache._atomic_write(base + keep, raw)
+            stats.recompressed += 1
+        try:
+            os.unlink(base + drop)  # the transcoded source or a stray
+            if blob == base + keep:
                 stats.cleaned += 1
-            except OSError:
-                pass
-        for _json, blob in copies[key]:
-            if blob is None:
-                continue
-            if target_blob is not None and (
-                os.path.abspath(blob) == os.path.abspath(target_blob)
-            ):
-                continue
-            try:
-                os.unlink(blob)
-                stats.cleaned += 1
-            except OSError:
-                pass
-        # stray blob variants next to the target (e.g. a codec change
-        # re-running over a finished pass) are orphan-collected by prune
-    try:
-        _write_layout_marker(root, fanout)
-    except OSError:
-        pass
+        except OSError:
+            pass
+    shutil.rmtree(os.path.join(root, INDEX_DIR), ignore_errors=True)
     return stats

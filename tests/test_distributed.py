@@ -10,6 +10,8 @@ from repro.distributed.protocol import (
     ProtocolError,
     chains_from_wire,
     chains_to_wire,
+    hello_payload,
+    models_from_hello,
     parse_endpoints,
     recv_frame,
     result_from_wire,
@@ -22,6 +24,8 @@ from repro.runner import (
     ParallelRunner,
     ResultCache,
     RunSpec,
+    model_fingerprint,
+    models_to_payload,
     plan_batches,
     result_bytes,
 )
@@ -57,7 +61,7 @@ def _summary_files(root):
     cache = ResultCache(root=root, memory=False)
     out = {}
     for key in cache.keys():
-        with open(cache._find_summary(key), "rb") as fh:
+        with open(cache._path(key), "rb") as fh:
             out[key] = fh.read()
     return out
 
@@ -100,6 +104,45 @@ def test_result_wire_round_trip_is_byte_identical(serial):
     assert [[result_bytes(r) for r in c] for c in back] == [
         [result_bytes(r) for r in c] for c in chains
     ]
+
+
+def test_hello_ships_models_as_json_with_fingerprint(models):
+    import json
+
+    hello = json.loads(json.dumps(hello_payload(models)))
+    assert hello["fingerprint"] == model_fingerprint(models)
+    clone = models_from_hello(hello)
+    assert model_fingerprint(clone) == model_fingerprint(models)
+    assert models_from_hello(hello_payload(None)) is None
+    tampered = dict(hello, models=models_to_payload(models))
+    tampered["models"]["thermal"]["ts_s"] = 0.2
+    with pytest.raises(ProtocolError):
+        models_from_hello(tampered)
+    for garbage in ("gASVAAAA", [1, 2], {"thermal": "x"}, {}):
+        with pytest.raises(ProtocolError):
+            models_from_hello(dict(hello, models=garbage))
+
+
+def test_worker_refuses_pickled_or_garbage_hello(monkeypatch):
+    """A hello carrying the old base64-pickle field (or junk) is refused
+    before any batch runs, and nothing is ever unpickled."""
+    import base64
+    import pickle
+
+    def no_unpickling(*_args, **_kwargs):
+        raise AssertionError("the worker must never unpickle a frame")
+
+    blob = base64.b64encode(pickle.dumps({"not": "models"})).decode("ascii")
+    monkeypatch.setattr(pickle, "loads", no_unpickling)
+    worker = WorkerServer().start()
+    try:
+        for models in (blob, "%%% not base64 %%%", 42):
+            with socket.create_connection(worker.address, timeout=10) as conn:
+                send_frame(conn, {"op": "hello", "schema": 1, "models": models})
+                with pytest.raises(ProtocolError):
+                    recv_frame(conn)  # connection dropped, no "ready"
+    finally:
+        worker.stop()
 
 
 def test_parse_endpoints():

@@ -65,21 +65,6 @@ def test_recorder_accessors_are_views():
     assert rec.column("a").tolist() == [1.0, 3.0, 5.0]
 
 
-def test_from_rows_round_trip_and_validation():
-    rec = TraceRecorder(["a", "b"])
-    rec.append(a=1.0, b=2.0)
-    with pytest.deprecated_call():
-        rows = rec.rows()
-    with pytest.deprecated_call():
-        clone = TraceRecorder.from_rows(clone_cols := rec.columns, rows)
-    assert clone.columns == clone_cols
-    assert clone.array().tolist() == rec.array().tolist()
-    with pytest.deprecated_call(), pytest.raises(SimulationError):
-        TraceRecorder.from_rows(["a", "b"], [[1.0, 2.0], [3.0]])  # ragged
-    with pytest.deprecated_call(), pytest.raises(SimulationError):
-        TraceRecorder.from_rows(["a", "b"], [[1.0, 2.0, 3.0]])  # too wide
-
-
 def test_from_array_adopts_matrix():
     data = np.arange(6, dtype=float).reshape(3, 2)
     rec = TraceRecorder.from_array(["a", "b"], data)
@@ -88,6 +73,8 @@ def test_from_array_adopts_matrix():
     # appending after adoption grows a fresh buffer (copy) and works
     rec.append(a=10.0, b=11.0)
     assert rec.column("b").tolist() == [1.0, 3.0, 5.0, 11.0]
+    with pytest.raises(SimulationError):
+        TraceRecorder.from_array(["a", "b"], np.zeros(4))  # not a matrix
     with pytest.raises(SimulationError):
         TraceRecorder.from_array(["a", "b"], np.zeros((2, 3)))
 

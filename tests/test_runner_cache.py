@@ -21,7 +21,6 @@ from repro.runner import (
     models_to_payload,
     payload_bytes,
     payload_to_models,
-    payload_to_result,
     prune,
     result_bytes,
     result_to_payload,
@@ -50,21 +49,21 @@ def result(workload):
 # payload round trip
 # ---------------------------------------------------------------------------
 def test_result_payload_round_trip_is_lossless(result):
-    clone = payload_to_result(
-        json.loads(result_bytes(result).decode("utf-8"))
-    )
-    assert result_bytes(clone) == result_bytes(result)
-    assert clone.benchmark == result.benchmark
-    assert clone.trace.columns == result.trace.columns
-    assert clone.peak_temp_c() == result.peak_temp_c()
-    assert clone.times_s().tolist() == result.times_s().tolist()
+    payload = json.loads(result_bytes(result).decode("utf-8"))
+    assert payload_bytes(payload) == result_bytes(result)
+    assert payload["benchmark"] == result.benchmark
+    assert payload["trace"]["columns"] == result.trace.columns
+    rows = np.array(payload["trace"]["rows"], dtype=np.float64)
+    assert np.array_equal(rows, result.trace.array())
 
 
 def test_payload_rejects_malformed_trace(result):
-    payload = result_to_payload(result)
-    payload["trace"]["rows"] = [[1.0, 2.0]]  # wrong width
+    summary = result_to_summary(result)
     with pytest.raises(SimulationError):
-        payload_to_result(payload)
+        summary_to_result(summary, np.zeros((1, 2)))  # wrong shape
+    summary["trace"]["length"] += 1
+    with pytest.raises(SimulationError):
+        summary_to_result(summary, result.trace.array())
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +87,7 @@ def test_memory_only_cache(result):
     cache = ResultCache()  # no root: in-process memo
     cache.put("k", result)
     assert cache.get("k") is not None
+    assert cache.get("missing") is None and "missing" not in cache
     assert len(cache) == 1
     with pytest.raises(SimulationError):
         ResultCache(root=None, memory=False)
@@ -97,7 +97,7 @@ def test_corrupt_entry_is_a_miss(tmp_path, workload, result):
     cache = ResultCache(root=str(tmp_path), memory=False)
     key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
     cache.put(key, result)
-    path = os.path.join(str(tmp_path), key[:2], key + ".json")
+    path, _ = _entry_paths(tmp_path, key)
     with open(path, "w") as fh:
         fh.write("{not json")
     assert cache.get(key) is None  # miss, not an exception
@@ -115,8 +115,8 @@ def test_from_env_honours_cache_dir(tmp_path, monkeypatch):
 # v2 artifacts: summary JSON + npz trace blob
 # ---------------------------------------------------------------------------
 def _entry_paths(root, key):
-    shard = os.path.join(str(root), key[:2])
-    return os.path.join(shard, key + ".json"), os.path.join(shard, key + ".npz")
+    base = os.path.join(str(root), key[:2], key[2:4], key)
+    return base + ".json", base + ".npz"
 
 
 def test_put_writes_v2_summary_plus_blob(tmp_path, workload, result):
@@ -134,20 +134,20 @@ def test_put_writes_v2_summary_plus_blob(tmp_path, workload, result):
 
 def test_npz_json_round_trip_numeric_equality(result):
     """The binary and the JSON codec agree bit-for-bit on every float."""
-    via_json = payload_to_result(
-        json.loads(result_bytes(result).decode("utf-8"))
-    )
+    rows = json.loads(result_bytes(result).decode("utf-8"))["trace"]["rows"]
     blob = trace_blob_bytes(result)
     import io
 
     with np.load(io.BytesIO(blob)) as npz:
         via_npz = summary_to_result(result_to_summary(result), npz["data"])
-    assert result_bytes(via_npz) == result_bytes(via_json) == result_bytes(result)
-    assert np.array_equal(via_npz.trace.array(), via_json.trace.array())
+    assert result_bytes(via_npz) == result_bytes(result)
+    assert np.array_equal(
+        via_npz.trace.array(), np.array(rows, dtype=np.float64)
+    )
 
 
-def test_v1_entries_read_transparently(tmp_path, workload, result):
-    """Entries written by the old JSON-rows code are still cache hits."""
+def test_v1_entries_read_as_miss(tmp_path, workload, result):
+    """Entries of the retired JSON-rows artifact are misses, not errors."""
     cache = ResultCache(root=str(tmp_path), memory=False)
     key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
     json_path, blob_path = _entry_paths(tmp_path, key)
@@ -155,9 +155,9 @@ def test_v1_entries_read_transparently(tmp_path, workload, result):
     with open(json_path, "wb") as fh:
         fh.write(payload_bytes(result_to_payload(result)))  # v1 layout
     assert not os.path.exists(blob_path)
-    hit = cache.get(key)
-    assert hit is not None
-    assert result_bytes(hit) == result_bytes(result)
+    assert cache.get(key) is None
+    cache.put(key, result)  # a re-run replaces it with a current entry
+    assert result_bytes(cache.get(key)) == result_bytes(result)
 
 
 def test_mmap_read_back_is_identical(tmp_path, workload, result):
@@ -193,8 +193,15 @@ def test_disk_usage_and_prune(tmp_path, workload, result):
     for key in keys:
         cache.put(key, result)
     usage = disk_usage(str(tmp_path))
-    assert usage.entries == usage.v2_entries == 3
+    assert usage.entries == 3
     assert usage.blob_bytes > 0 and usage.result_bytes > 0
+    assert usage.index_bytes == 0
+    # the bulk index is part of the footprint and of the report
+    assert len(cache.indexed_summaries()) == 3
+    indexed = disk_usage(str(tmp_path))
+    assert indexed.index_bytes > 0
+    assert indexed.total_bytes == usage.total_bytes + indexed.index_bytes
+    assert "MiB index" in indexed.summary()
     # bound the store to roughly one entry: the oldest two are evicted
     per_entry = usage.total_bytes // 3
     removed, freed = prune(str(tmp_path), max_bytes=per_entry + 16)
@@ -216,9 +223,7 @@ def test_read_touches_entry_and_prune_is_lru(tmp_path, workload, result):
         cache.put(key, result)
     # backdate every summary, then read the *oldest-written* entry: the
     # access touch must move it to the head of the survival order
-    paths = [
-        os.path.join(str(tmp_path), k[:2], k + ".json") for k in keys
-    ]
+    paths = [_entry_paths(tmp_path, k)[0] for k in keys]
     for age, path in zip((3000.0, 2000.0, 1000.0), paths):
         stamp = os.path.getmtime(path) - age
         os.utime(path, (stamp, stamp))
@@ -286,8 +291,8 @@ def test_half_removed_entry_reads_as_miss_and_reprunes(tmp_path, workload, resul
 
 
 def test_prune_collects_stale_orphan_blobs_keeps_models(tmp_path):
-    shard = tmp_path / "ab"
-    shard.mkdir()
+    shard = tmp_path / "ab" / "00"
+    shard.mkdir(parents=True)
     orphan = shard / ("ab" + "0" * 62 + ".npz")
     orphan.write_bytes(b"orphan")
     models_dir = tmp_path / "models"

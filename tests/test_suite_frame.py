@@ -205,20 +205,22 @@ def test_cache_root_expands_user_home(monkeypatch, tmp_path):
     assert cache.root == str(tmp_path / "suite-cache")
 
 
-def test_from_cache_reads_legacy_v1_entries(populated, tmp_path):
+def test_from_cache_skips_legacy_v1_entries(populated, tmp_path):
+    """Retired JSON-rows entries are not rows: both open paths skip them,
+    and naming one explicitly raises."""
     _, _, results = populated
     key = "ab" + "0" * 62
-    shard = tmp_path / key[:2]
-    shard.mkdir()
-    (shard / (key + ".json")).write_text(
+    entry = tmp_path / key[:2] / key[2:4]
+    entry.mkdir(parents=True)
+    (entry / (key + ".json")).write_text(
         json.dumps(result_to_payload(results[0]))
     )
-    frame = SuiteFrame.open_dir(str(tmp_path))
-    assert frame.keys == [key]
-    assert frame.benchmark == [results[0].benchmark]
-    np.testing.assert_array_equal(
-        frame.trace(0), results[0].trace.array()
-    )
+    assert SuiteFrame.open_dir(str(tmp_path)).keys == []
+    assert SuiteFrame.open_dir(str(tmp_path), use_index=False).keys == []
+    with pytest.raises(SimulationError):
+        SuiteFrame.from_cache(
+            ResultCache(root=str(tmp_path), memory=False), keys=[key]
+        )
 
 
 def test_from_cache_explicit_keys_raise_on_miss(populated):
