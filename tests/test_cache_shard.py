@@ -242,6 +242,26 @@ def test_migrate_transcodes_back_to_plain(tmp_path, result):
     assert result_bytes(ResultCache(root=root, memory=False).get(key)) == before
 
 
+def test_migrate_rejects_bad_fanout(tmp_path, result):
+    """The store has one depth, so migrate takes no fanout at all."""
+    from repro.cli import build_parser
+
+    root = str(tmp_path)
+    key = "d1" * 32
+    ResultCache(root=root).put(key, result)
+    _flatten(tmp_path, key)
+    before = _files(tmp_path)
+    for fanout in (1, 2, 3):
+        with pytest.raises(TypeError):
+            migrate(root, fanout=fanout)  # type: ignore[call-arg]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["cache", "migrate", "--cache-dir", root,
+                 "--fanout", str(fanout)]
+            )
+    assert _files(tmp_path) == before  # rejected before touching the store
+
+
 # ---------------------------------------------------------------------------
 # shard index
 # ---------------------------------------------------------------------------

@@ -65,6 +65,23 @@ def test_recorder_accessors_are_views():
     assert rec.column("a").tolist() == [1.0, 3.0, 5.0]
 
 
+def test_from_rows_round_trip_and_validation():
+    """Row lists round-trip through ``from_array``; the row shims are gone."""
+    rec = TraceRecorder(["a", "b"])
+    rec.append(a=1.0, b=2.0)
+    rec.append(a=3.0, b=4.0)
+    rows = rec.array().tolist()
+    clone = TraceRecorder.from_array(rec.columns, np.asarray(rows, dtype=float))
+    assert clone.columns == rec.columns
+    assert clone.array().tolist() == rows
+    for shim in ("from_rows", "rows"):
+        assert not hasattr(TraceRecorder, shim)
+    with pytest.raises(SimulationError):
+        TraceRecorder.from_array(["a", "b"], np.asarray([[1.0, 2.0, 3.0]]))
+    with pytest.raises(SimulationError):
+        TraceRecorder.from_array(["a", "b"], np.asarray([1.0, 2.0]))
+
+
 def test_from_array_adopts_matrix():
     data = np.arange(6, dtype=float).reshape(3, 2)
     rec = TraceRecorder.from_array(["a", "b"], data)
