@@ -15,7 +15,8 @@ Two classes of silent aliasing can corrupt that scheme:
   the pinned manifest stores a *semantic* hash (AST with comments and
   docstrings stripped) of the modules whose maths defines what a cached
   number means (``thermal/kernels.py``, ``platform/state.py``,
-  ``power/leakage.py``).  If a hash moved, ``CACHE_FORMAT`` must move in
+  ``power/leakage.py``, and ``sim/scenario.py`` for the idle-gap
+  cooldown).  If a hash moved, ``CACHE_FORMAT`` must move in
   the same diff -- refresh with ``repro-dtpm lint --update-manifests``.
 """
 
@@ -44,6 +45,7 @@ DEFAULT_PINNED_MODULES = (
     "repro/thermal/kernels.py",
     "repro/platform/state.py",
     "repro/power/leakage.py",
+    "repro/sim/scenario.py",
 )
 
 
@@ -357,7 +359,11 @@ def update_cache_manifest(
     old: dict = {}
     if os.path.exists(manifest_path):
         old = load_json(manifest_path)
-    module_names = tuple(old.get("modules", {})) or DEFAULT_PINNED_MODULES
+    # every default module is pinned; a manifest may pin extra ones
+    module_names = tuple(old.get("modules", {}))
+    module_names += tuple(
+        m for m in DEFAULT_PINNED_MODULES if m not in module_names
+    )
 
     fresh: Dict[str, str] = {}
     for module in module_names:

@@ -23,9 +23,9 @@ duration (zero-order hold, evaluated once at the interval-entry
 temperatures).  That makes the K-substep RC chain linear in the state,
 so the fused kernels integrate a whole interval in one propagator pass
 and only lanes whose fan speed or quantised cooling factor actually
-changes mid-interval fall back to per-substep stepping.  The idle-gap
-cooldown path (``power_every=1``) keeps the historical per-substep power
-re-evaluation, bit-identical to looped :meth:`OdroidBoard.step` calls.
+changes mid-interval fall back to per-substep stepping.  Scenario
+idle-gap cooldowns ride the same intervals (see
+:mod:`repro.sim.scenario`), so the plant has one integration semantics.
 
 Every kernel is elementwise over the batch axis (reductions only run over
 fixed-size axes such as the four cores), and per-lane RNG streams are
@@ -56,8 +56,8 @@ class PlantState:
 
     Gathered from (and scattered back to) per-lane boards; see
     :meth:`gather` / :meth:`scatter`.  The ``powers_w`` /
-    ``big_core_powers_w`` / ``soc_total_w`` fields hold the *last*
-    evaluated substep's ground-truth power breakdown -- what the serial
+    ``big_core_powers_w`` / ``soc_total_w`` fields hold the last
+    interval's held ground-truth power breakdown -- what the serial
     board keeps as ``_last_power_state`` and the sensors read.
     """
 
@@ -77,11 +77,11 @@ class PlantState:
     little_online: np.ndarray  # (B, 4) bool
     gpu_util: np.ndarray  # (B,)
     mem_traffic: np.ndarray  # (B,)
-    powers_w: np.ndarray = None  # (B, 4) last substep's resource totals
+    powers_w: np.ndarray = None  # (B, 4) last interval's resource totals
     big_core_powers_w: np.ndarray = None  # (B, 4)
     soc_total_w: np.ndarray = None  # (B,)
     dynamic_w: np.ndarray = None  # (B, 4) dynamic/leakage splits of the
-    leakage_w: np.ndarray = None  # last substep, resource-vector layout
+    leakage_w: np.ndarray = None  # last interval, resource-vector layout
 
     @property
     def batch(self) -> int:
@@ -226,36 +226,24 @@ class BatchPlant:
         gpu_activity: np.ndarray,
         dt_s: float,
         substeps: int,
-        power_every: Optional[int] = None,
     ) -> None:
         """Advance every lane of ``state`` by one control interval.
 
-        ``power_every`` controls how often the ground-truth power is
-        re-evaluated along the ``substeps`` thermal substeps:
-
-        ``None`` (default)
-            Zero-order hold: power is evaluated once at the
-            interval-entry temperatures and held, which lets the whole
-            interval integrate through the fused propagator kernels of
-            :mod:`repro.thermal.kernels`.  This is the engine's control
-            interval semantics.
-        ``1``
-            Re-evaluate at every substep -- ``substeps`` consecutive
-            :meth:`OdroidBoard.step` calls, bit-for-bit (the scenario
-            idle-gap cooldown contract).
-
-        Either way the fan controller reacts to every substep's new
-        hotspots and the platform meter samples every substep with the
-        *new* fan's draw.  Meter noise is pre-drawn per lane (one array
+        Zero-order hold: the ground-truth power is evaluated once at the
+        interval-entry temperatures and held over the ``substeps``
+        thermal substeps, which lets the whole interval integrate
+        through the fused propagator kernels of
+        :mod:`repro.thermal.kernels` (with per-substep fallback for
+        lanes whose fan speed or quantised cooling factor transitions
+        mid-interval -- see
+        :func:`repro.thermal.kernels.advance_held_interval`).  The fan
+        controller still reacts to every substep's new hotspots, and the
+        platform meter prices every substep at that substep's
+        post-update fan draw, vectorised over the whole ``(B, K)``
+        reading matrix.  Meter noise is pre-drawn per lane (one array
         draw consumes the stream exactly like the serial per-substep
         scalar draws).
         """
-        if power_every is None:
-            power_every = substeps
-        if power_every not in (1, substeps):
-            raise ConfigurationError(
-                "power_every must be 1 or the substep count"
-            )
         batch = state.batch
         noise = np.zeros((batch, substeps))
         for i, lane in enumerate(lanes):  # repro-lint: disable=RPR032 -- per-lane RNG streams must be consumed in serial lane order for bit-parity with scalar runs
@@ -279,65 +267,25 @@ class BatchPlant:
             cpu_activity,
             gpu_activity,
         )
-
-        if power_every == substeps:
-            self._advance_fused(state, inputs, noise, dt_s, substeps)
-        else:
-            self._advance_substep_power(state, inputs, noise, dt_s, substeps)
-
-    # ------------------------------------------------------------------
-    def _evaluate_power(self, inputs, temps: np.ndarray):
-        """Ground-truth power breakdown + node heat vector at ``temps``."""
-        batch = temps.shape[0]
-        t_big = np.mean(temps[:, self._hot_idx], axis=1)
+        temps_k = state.temps_k
         ps = self.power.evaluate(
             inputs,
-            t_big,
-            temps[:, self._little_idx],
-            temps[:, self._gpu_idx],
-            temps[:, self._mem_idx],
+            np.mean(temps_k[:, self._hot_idx], axis=1),
+            temps_k[:, self._little_idx],
+            temps_k[:, self._gpu_idx],
+            temps_k[:, self._mem_idx],
         )
         node_p = np.zeros((batch, self.network.num_nodes))
         node_p[:, self._hot_idx] = ps.big_core_powers_w
         node_p[:, self._little_idx] = ps.powers_w[:, 1]
         node_p[:, self._gpu_idx] = ps.powers_w[:, 2]
         node_p[:, self._mem_idx] = ps.powers_w[:, 3]
-        return ps, node_p
-
-    def _store_power(self, state: PlantState, ps) -> None:
-        """Publish the interval's power breakdown to the SoA state."""
-        state.powers_w = ps.powers_w
-        state.big_core_powers_w = ps.big_core_powers_w
-        state.soc_total_w = ps.soc_total_w
-        state.dynamic_w = ps.dynamic_w
-        state.leakage_w = ps.leakage_w
-
-    def _advance_fused(
-        self,
-        state: PlantState,
-        inputs,
-        noise: np.ndarray,
-        dt_s: float,
-        substeps: int,
-    ) -> None:
-        """One control interval under zero-order-hold power.
-
-        Power is evaluated once at the entry temperatures; the K-substep
-        RC chain then runs through the fused propagator kernel (with
-        per-substep fallback for lanes whose fan or quantised cooling
-        factor transitions mid-interval -- see
-        :func:`repro.thermal.kernels.advance_held_interval`).  Meter
-        accounting prices every substep at that substep's post-update
-        fan speed, vectorised over the whole ``(B, K)`` reading matrix.
-        """
-        batch = state.batch
-        ps, node_p = self._evaluate_power(inputs, state.temps_k)
         u = np.concatenate(
             [node_p, np.full((batch, 1), self.network.ambient_k)], axis=1
         )
         temps, speeds = kernels.advance_held_interval(
             self.network,
-            state.temps_k,
+            temps_k,
             state.cooling_gain,
             state.fan_speed,
             state.fan_enabled,
@@ -365,52 +313,11 @@ class BatchPlant:
         state.meter_elapsed_s = state.meter_elapsed_s + dt_s * substeps
         state.last_reading_w = readings[:, -1]
         state.time_s = state.time_s + dt_s * substeps
-        self._store_power(state, ps)
-
-    def _advance_substep_power(
-        self,
-        state: PlantState,
-        inputs,
-        noise: np.ndarray,
-        dt_s: float,
-        substeps: int,
-    ) -> None:
-        """Per-substep power re-evaluation (``power_every=1``).
-
-        The historical interval semantics, kept bit-identical to looped
-        :meth:`OdroidBoard.step` calls -- the scenario idle-gap cooldown
-        and its serial per-board transcription test rest on this path.
-        """
-        temps = state.temps_k
-        for k in range(substeps):
-            ps, node_p = self._evaluate_power(inputs, temps)
-            temps = self.network.step_batch(
-                temps, node_p, dt_s, state.cooling_gain
-            )
-
-            max_hot = np.max(temps[:, self._hot_idx], axis=1)
-            state.fan_speed = kernels.fan_step(
-                state.fan_speed,
-                state.fan_enabled,
-                max_hot,
-                self._fan_up_k,
-                self._fan_hyst_k,
-            )
-            state.cooling_gain = self._fan_gain[state.fan_speed]
-
-            true_platform = (
-                ps.soc_total_w
-                + self._fan_power_w[state.fan_speed]
-                + self._static_w
-            )
-            reading = np.maximum(0.0, true_platform * (1.0 + noise[:, k]))
-            state.energy_j = state.energy_j + reading * dt_s
-            state.meter_elapsed_s = state.meter_elapsed_s + dt_s
-            state.last_reading_w = reading
-            state.time_s = state.time_s + dt_s
-
-        state.temps_k = temps
-        self._store_power(state, ps)
+        state.powers_w = ps.powers_w
+        state.big_core_powers_w = ps.big_core_powers_w
+        state.soc_total_w = ps.soc_total_w
+        state.dynamic_w = ps.dynamic_w
+        state.leakage_w = ps.leakage_w
 
     def hotspots_k(self, state: PlantState) -> np.ndarray:
         """True hotspot (big core) temperatures of every lane, ``(B, 4)``."""

@@ -271,9 +271,6 @@ def execute_batch(
         batch_size = default_batch()
     results: List[Optional[List[RunResult]]] = [None] * len(specs)
     for job in plan_batches(specs, batch_size):
-        if len(job) == 1 and batch_size == 1:
-            results[job[0]] = execute_schedule(specs[job[0]], models)
-            continue
         if specs[job[0]].history:
             for i, chain in zip(
                 job, execute_schedules([specs[i] for i in job], models)

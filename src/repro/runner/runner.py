@@ -4,16 +4,15 @@ The :class:`ParallelRunner` takes an :class:`ExperimentMatrix` (or an
 explicit spec list), answers what it can from the content-addressed
 :class:`ResultCache`, and fans the remaining runs out over a
 ``concurrent.futures.ProcessPoolExecutor``.  The identified model bundle
-is pickled once and shipped to each worker at pool start-up (re-building
-it costs ~10 s; the pickle is ~2 kB), and results come back in spec order
-regardless of scheduling, so serial and parallel execution are
-byte-identical.
+is shipped to each worker once at pool start-up as the same JSON payload
+plus fingerprint the distributed hello uses (re-building it costs ~10 s;
+the payload is a few kB), and results come back in spec order regardless
+of scheduling, so serial and parallel execution are byte-identical.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
@@ -21,7 +20,13 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
 from repro.runner.execute import default_batch, execute_batch, plan_batches
-from repro.runner.spec import ExperimentMatrix, RunSpec, spec_key
+from repro.runner.model_store import models_to_payload, payload_to_models
+from repro.runner.spec import (
+    ExperimentMatrix,
+    RunSpec,
+    model_fingerprint,
+    spec_key,
+)
 from repro.sim.models import ModelBundle, default_models
 from repro.sim.run_result import RunResult
 
@@ -32,11 +37,25 @@ Experiments = Union[ExperimentMatrix, Sequence[RunSpec]]
 _WORKER_MODELS: Optional[ModelBundle] = None
 
 
-def _worker_init(models_blob: Optional[bytes]) -> None:
+def _worker_init(
+    models_payload: Optional[dict], fingerprint: Optional[str]
+) -> None:
+    """Rebuild the pool's model bundle from its JSON payload.
+
+    Refuses a bundle whose fingerprint differs from the one the parent
+    computed, so a lossy codec can never run DTPM on different models.
+    """
     global _WORKER_MODELS
-    _WORKER_MODELS = (
-        pickle.loads(models_blob) if models_blob is not None else None
+    models = (
+        payload_to_models(models_payload)
+        if models_payload is not None
+        else None
     )
+    if model_fingerprint(models) != fingerprint:
+        raise ConfigurationError(
+            "pool worker's model bundle does not match its fingerprint"
+        )
+    _WORKER_MODELS = models
 
 
 def _worker_run(specs: List[RunSpec]) -> List[List[RunResult]]:
@@ -292,12 +311,12 @@ class ParallelRunner:
             return execute_batch(specs, models=models, batch_size=self.batch)
         per_worker = -(-len(specs) // self.workers)
         jobs = plan_batches(specs, max(1, min(self.batch, per_worker)))
-        blob = pickle.dumps(models) if models is not None else None
+        payload = models_to_payload(models) if models is not None else None
         max_workers = min(self.workers, len(jobs))
         with ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_worker_init,
-            initargs=(blob,),
+            initargs=(payload, model_fingerprint(models)),
         ) as pool:
             chains: List[Optional[List[RunResult]]] = [None] * len(specs)
             job_specs = [[specs[i] for i in job] for job in jobs]

@@ -44,7 +44,10 @@ from repro.workloads.trace import WorkloadTrace
 #: substep kernels can integrate a whole interval per propagator pass;
 #: per-substep power re-evaluation survives only on the scenario
 #: idle-cooldown path.
-CACHE_FORMAT = 3
+#: 4: scenario idle-gap cooldowns hold power per 1 s interval on the same
+#: zero-order-hold kernel (the per-substep power path is gone), which
+#: moves carried temperatures by a few mK after a gap.
+CACHE_FORMAT = 4
 
 
 def _canonical(obj: Any) -> Any:

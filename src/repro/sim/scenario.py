@@ -10,16 +10,17 @@ between (the phone sitting in a pocket between apps).
 Scenario chains ride the vectorised plant: a :class:`BatchScenarioRunner`
 lock-steps ``B`` schedules position by position -- every lane's run at
 position ``i`` advances through one :class:`~repro.sim.engine.BatchSimulator`,
-and the between-run idle cooldowns advance as one batched RC integration
-(:class:`~repro.platform.state.BatchPlant`).  :class:`ScenarioRunner` is
-the ``B = 1`` view of that same code path, and every batched kernel is
-elementwise over the batch axis, so a batch of ``N`` schedules produces
-chains byte-identical to ``N`` schedules executed one at a time.
+and the between-run idle cooldowns advance through the same batched
+zero-order-hold intervals (:class:`~repro.platform.state.BatchPlant`).
+:class:`ScenarioRunner` is the ``B = 1`` view of that same code path, and
+every batched kernel is elementwise over the batch axis, so a batch of
+``N`` schedules produces chains byte-identical to ``N`` schedules
+executed one at a time.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +42,9 @@ IDLE_BIG_UTILS = (0.03, 0.02, 0.02, 0.02)
 IDLE_MEM_TRAFFIC = 0.03
 #: Integration step of the idle-gap cooldown (s).
 IDLE_STEP_S = 0.1
+#: Idle steps per held-power interval of the cooldown (1 s at
+#: ``IDLE_STEP_S``); the last interval of a gap is shorter when needed.
+IDLE_INTERVAL_STEPS = 10
 
 
 class ScenarioRunner:
@@ -119,7 +123,7 @@ class BatchScenarioRunner:
     run advances through one :class:`~repro.sim.engine.BatchSimulator`
     (lanes that finish early drop out of the step loop, lanes with shorter
     schedules drop out of later positions), and the idle-gap cooldowns
-    before carried runs advance as one batched RC integration.  Thermal
+    before carried runs advance through one batched plant.  Thermal
     state and the per-lane DTPM governor (with its identified models)
     carry across positions per lane, exactly as each lane's serial
     :class:`ScenarioRunner` would carry them.
@@ -249,13 +253,15 @@ class BatchScenarioRunner:
     def _idle(sims: Sequence[Simulator], idle_steps: Sequence[int]) -> None:
         """Cool the carrying lanes at near-idle for their configured gaps.
 
-        One batched RC integration advances every idling lane together:
-        lanes with shorter gaps drop out after their remaining substeps,
-        so per-lane gap lengths are free to differ without masking any
-        kernel (every advance is elementwise over the lanes it covers,
-        which keeps the cooldown bit-identical to the serial per-board
-        ``step`` loop).  The idle gap is not part of any benchmark's
-        accounting, so each lane's meter is reset afterwards.
+        The cooldown runs on the engine's zero-order-hold intervals: each
+        lane's gap splits into held-power intervals of
+        ``IDLE_INTERVAL_STEPS`` idle steps, the last one shorter when the
+        gap is not a whole number of intervals.  Every round advances
+        each idling lane by its next interval, one batched advance per
+        distinct interval length, so a lane's interval boundaries depend
+        only on its own gap and the cooldown stays byte-identical to the
+        same lane idling alone.  The idle gap is not part of any
+        benchmark's accounting, so each lane's meter is reset afterwards.
         """
         lanes = [k for k, steps in enumerate(idle_steps) if steps > 0]
         if not lanes:
@@ -266,27 +272,24 @@ class BatchScenarioRunner:
             board.soc.gpu.set_utilisation(0.0)
             board.soc.mem.set_traffic(IDLE_MEM_TRAFFIC)
         plant = BatchPlant([sims[k].board for k in lanes])
-        remaining = {k: idle_steps[k] for k in lanes}
-        active = list(lanes)
-        while active:
-            chunk = min(remaining[k] for k in active)
-            idx = [lanes.index(k) for k in active]
-            state = plant.gather(idx)
-            big = np.tile(np.asarray(IDLE_BIG_UTILS), (len(idx), 1))
-            little = np.zeros((len(idx), len(IDLE_BIG_UTILS)))
-            ones = np.ones(len(idx))
-            # power_every=1 keeps the historical per-substep power
-            # re-evaluation: the cooldown is pinned bit-identical to a
-            # serial per-board ``step`` loop, not to the engine's
-            # zero-order-hold control intervals.
-            plant.advance_interval(
-                state, idx, big, little, ones, ones, IDLE_STEP_S, chunk,
-                power_every=1,
-            )
-            plant.scatter(state, idx)
-            for k in active:
-                remaining[k] -= chunk
-            active = [k for k in active if remaining[k] > 0]
+        remaining = [idle_steps[k] for k in lanes]
+        while any(remaining):
+            groups: Dict[int, List[int]] = {}
+            for i, left in enumerate(remaining):
+                if left:
+                    steps = min(left, IDLE_INTERVAL_STEPS)
+                    groups.setdefault(steps, []).append(i)
+            for steps, idx in sorted(groups.items()):
+                state = plant.gather(idx)
+                big = np.tile(np.asarray(IDLE_BIG_UTILS), (len(idx), 1))
+                little = np.zeros((len(idx), len(IDLE_BIG_UTILS)))
+                ones = np.ones(len(idx))
+                plant.advance_interval(
+                    state, idx, big, little, ones, ones, IDLE_STEP_S, steps
+                )
+                plant.scatter(state, idx)
+                for i in idx:
+                    remaining[i] -= steps
         for k in lanes:
             sims[k].board.meter.reset()
 

@@ -188,8 +188,10 @@ def test_update_cache_manifest_refuses_drift_without_bump(tmp_path):
     (src / "repro" / "thermal").mkdir()
     (src / "repro" / "platform").mkdir()
     (src / "repro" / "power").mkdir()
+    (src / "repro" / "sim").mkdir()
     (src / "repro" / "runner" / "spec.py").write_text("CACHE_FORMAT = 1\n")
-    for mod in ("thermal/kernels.py", "platform/state.py", "power/leakage.py"):
+    for mod in ("thermal/kernels.py", "platform/state.py", "power/leakage.py",
+                "sim/scenario.py"):
         path = src / "repro" / mod
         path.write_text("def f(x):\n    return x\n")
     manifest = tmp_path / "manifest.json"
@@ -197,7 +199,7 @@ def test_update_cache_manifest_refuses_drift_without_bump(tmp_path):
     update_cache_manifest(str(src), str(manifest))
     pinned = json.loads(manifest.read_text())
     assert pinned["cache_format"] == 1
-    assert len(pinned["modules"]) == 3
+    assert len(pinned["modules"]) == 4
 
     # semantic change without a bump: refused
     (src / "repro" / "thermal" / "kernels.py").write_text(
@@ -210,6 +212,13 @@ def test_update_cache_manifest_refuses_drift_without_bump(tmp_path):
     (src / "repro" / "runner" / "spec.py").write_text("CACHE_FORMAT = 2\n")
     update_cache_manifest(str(src), str(manifest))
     assert json.loads(manifest.read_text())["cache_format"] == 2
+
+    # the scenario idle-gap cooldown is pinned too
+    (src / "repro" / "sim" / "scenario.py").write_text(
+        "def f(x):\n    return x * 2\n"
+    )
+    with pytest.raises(ValueError, match="sim/scenario.py"):
+        update_cache_manifest(str(src), str(manifest))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,12 @@
 The fused interval kernel (:mod:`repro.thermal.kernels`) must be
 unobservable: fused chain == per-substep loop == scalar ``step()`` +
 ``Fan.update`` byte-for-byte, whatever mix of fan transitions, cooldowns
-and B=1 views a batch throws at it.  The optional numba backend is held
-to a documented tolerance instead (it may fuse multiply-adds), and is
-never the default.
+and B=1 views a batch throws at it.  The reference side of every
+comparison calls :func:`repro.thermal.kernels.substep_loop` directly.
 """
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
 from repro.platform.fan import Fan, FanThresholds
 from repro.platform.specs import PlatformSpec
 from repro.runner import result_bytes
@@ -52,47 +49,17 @@ def _random_states(rng, network, batch):
     return temps, cooling_gain, fan_speed, fan_enabled, u
 
 
-def _advance(network, states, backend, substeps=10, dt=0.01):
+def _advance(network, states, kernel, substeps=10, dt=0.01):
+    """Run ``kernel`` (the fused interval or the per-substep reference)."""
     temps, gain, speed, enabled, u = states
-    return kernels.advance_held_interval(
+    return kernel(
         network, temps.copy(), gain.copy(), speed.copy(), enabled.copy(),
         u.copy(), dt, substeps, UP_K, HYST_K, GAINS, floorplan.hot_indices(network),
-        backend=backend,
     )
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-def test_active_backend_default_is_numpy(monkeypatch):
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy-substep")
-    assert kernels.active_backend() == "numpy-substep"
-
-
-def test_active_backend_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "fortran")
-    with pytest.raises(ConfigurationError):
-        kernels.active_backend()
-
-
-@pytest.mark.skipif(kernels.HAVE_NUMBA, reason="numba is installed here")
-def test_numba_request_without_numba_fails(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numba")
-    with pytest.raises(ConfigurationError):
-        kernels.active_backend()
-
-
-def test_bad_backend_fails_at_engine_construction(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "fortran")
-    sim = Simulator(
-        synthesize("low", 6.0, threads=1, seed=3),
-        ThermalMode.NO_FAN,
-        max_duration_s=2.0,
-    )
-    with pytest.raises(ConfigurationError):
-        BatchSimulator([sim])
+FUSED = kernels.advance_held_interval
+REFERENCE = kernels.substep_loop
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +68,8 @@ def test_bad_backend_fails_at_engine_construction(monkeypatch):
 def test_fused_matches_substep_loop_bitwise(rng):
     network = _network()
     states = _random_states(rng, network, batch=41)
-    t_fused, s_fused = _advance(network, states, "numpy")
-    t_ref, s_ref = _advance(network, states, "numpy-substep")
+    t_fused, s_fused = _advance(network, states, FUSED)
+    t_ref, s_ref = _advance(network, states, REFERENCE)
     assert np.array_equal(t_fused, t_ref)
     assert np.array_equal(s_fused, s_ref)
 
@@ -110,13 +77,13 @@ def test_fused_matches_substep_loop_bitwise(rng):
 def test_fused_lanes_are_batch_independent(rng):
     network = _network()
     temps, gain, speed, enabled, u = _random_states(rng, network, batch=17)
-    t_full, s_full = _advance(network, (temps, gain, speed, enabled, u), "numpy")
+    t_full, s_full = _advance(network, (temps, gain, speed, enabled, u), FUSED)
     for b in range(temps.shape[0]):
         one = (
             temps[b : b + 1], gain[b : b + 1], speed[b : b + 1],
             enabled[b : b + 1], u[b : b + 1],
         )
-        t_one, s_one = _advance(network, one, "numpy")
+        t_one, s_one = _advance(network, one, FUSED)
         assert np.array_equal(t_one[0], t_full[b])
         assert np.array_equal(s_one[0], s_full[b])
 
@@ -133,7 +100,7 @@ def test_substep_loop_matches_scalar_step_and_fan(rng):
                 temps[b : b + 1], gain[b : b + 1], speed[b : b + 1],
                 enabled[b : b + 1], u[b : b + 1],
             ),
-            "numpy-substep",
+            REFERENCE,
             substeps=10,
         )
         fan = Fan(
@@ -178,8 +145,8 @@ def test_dirty_lane_detection_flags_transitions(rng):
     assert dirty[1]
     # and the full kernel still matches the reference on both lanes
     states = (temps, gain, speed, enabled, u)
-    t_fused, s_fused = _advance(network, states, "numpy")
-    t_ref, s_ref = _advance(network, states, "numpy-substep")
+    t_fused, s_fused = _advance(network, states, FUSED)
+    t_ref, s_ref = _advance(network, states, REFERENCE)
     assert np.array_equal(t_fused, t_ref)
     assert np.array_equal(s_fused, s_ref)
     assert s_fused[1, -1] >= 1  # the dirty lane really did engage its fan
@@ -197,8 +164,8 @@ def test_disabled_fan_with_forced_speed_is_dirty(rng):
         temps, np.array([GAINS[2]]), np.array([2], dtype=np.int64),
         np.array([False]), u,
     )
-    t_fused, s_fused = _advance(network, states, "numpy")
-    t_ref, s_ref = _advance(network, states, "numpy-substep")
+    t_fused, s_fused = _advance(network, states, FUSED)
+    t_ref, s_ref = _advance(network, states, REFERENCE)
     assert np.array_equal(t_fused, t_ref)
     assert np.array_equal(s_fused, s_ref)
     assert s_fused[0, 0] == 0
@@ -216,23 +183,11 @@ def test_cooldown_interval_parity(rng):
     u = np.zeros((batch, n + 1))
     u[:, -1] = network.ambient_k
     states = (temps, GAINS[speed], speed, enabled, u)
-    t_fused, s_fused = _advance(network, states, "numpy", substeps=50, dt=0.5)
-    t_ref, s_ref = _advance(network, states, "numpy-substep", substeps=50, dt=0.5)
+    t_fused, s_fused = _advance(network, states, FUSED, substeps=50, dt=0.5)
+    t_ref, s_ref = _advance(network, states, REFERENCE, substeps=50, dt=0.5)
     assert np.array_equal(t_fused, t_ref)
     assert np.array_equal(s_fused, s_ref)
     assert np.any(s_fused[:, -1] < 3)  # the cooldown really stepped down
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_chain_within_tolerance(rng):
-    network = _network()
-    states = _random_states(rng, network, batch=23)
-    t_np, s_np = _advance(network, states, "numpy")
-    t_nb, s_nb = _advance(network, states, "numba")
-    # fan speeds are discrete decisions on the (tolerance-close)
-    # trajectory; any drift would surface as a speed flip
-    assert np.array_equal(s_np, s_nb)
-    np.testing.assert_allclose(t_nb, t_np, rtol=1e-12, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +213,11 @@ def _engine_sims():
 
 
 def test_engine_fused_backend_byte_identical_to_substep(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy-substep")
+    # the plant looks the kernel up through the module, so swapping the
+    # module attribute routes every lane through the per-substep reference
+    monkeypatch.setattr(kernels, "advance_held_interval", REFERENCE)
     reference = BatchSimulator(_engine_sims()).run()
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+    monkeypatch.undo()
     fused = BatchSimulator(_engine_sims()).run()
     for one, two in zip(reference, fused):
         assert result_bytes(one) == result_bytes(two)

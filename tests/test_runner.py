@@ -159,6 +159,22 @@ def test_parallel_dtpm_matches_serial(workload, models):
     assert result_bytes(serial[0]) != result_bytes(serial[1])
 
 
+def test_pool_worker_refuses_model_fingerprint_mismatch(models, monkeypatch):
+    from repro.runner import model_fingerprint, models_to_payload
+    from repro.runner import runner as runner_module
+
+    # the initializer sets a module global; restore it afterwards
+    monkeypatch.setattr(runner_module, "_WORKER_MODELS", None)
+    payload = models_to_payload(models)
+    fingerprint = model_fingerprint(models)
+    runner_module._worker_init(payload, fingerprint)
+    assert model_fingerprint(runner_module._WORKER_MODELS) == fingerprint
+    with pytest.raises(ConfigurationError, match="fingerprint"):
+        runner_module._worker_init(payload, "0" * 64)
+    with pytest.raises(ConfigurationError, match="fingerprint"):
+        runner_module._worker_init(None, fingerprint)
+
+
 def test_second_invocation_executes_nothing(tmp_path, workload):
     matrix = ExperimentMatrix(
         workloads=(workload,),

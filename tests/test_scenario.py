@@ -2,10 +2,11 @@
 
 Includes the batched-chain contract: a :class:`BatchScenarioRunner` over
 mixed schedules must produce chains byte-identical to the same schedules
-executed one at a time, and the serial runner itself must match a
-reference transcription of the pre-batching per-board idle loop.
+executed one at a time, and the serial runner's held-power idle gaps must
+track a reference transcription of the per-board ``step`` idle loop.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
@@ -110,7 +111,9 @@ def _reference_chain(
     mode, workloads, initial_temp_c, idle_gap_s=0.0, base_seed=None, dtpm=None
 ):
     """The pre-batching serial semantics, transcribed: one Simulator per
-    position, carried temperatures, and a per-board ``step`` idle loop."""
+    position, carried temperatures, and a per-board ``step`` idle loop
+    (power re-evaluated at every idle step).  Returns the results and the
+    temperatures carried out of the last position."""
     from repro.platform.specs import PlatformSpec
 
     spec, config = PlatformSpec(), SimulationConfig()
@@ -135,21 +138,45 @@ def _reference_chain(
         result.notes.append("scenario position %d" % i)
         results.append(result)
         carry = sim.board.network.temperatures_k
-    return results
+    return results, carry
+
+
+#: Trace columns holding sensed (noisy, 0.25 K-quantised) temperatures.
+_SENSED_COLUMNS = ("max_temp_c", "temp0_c", "temp1_c", "temp2_c", "temp3_c")
 
 
 def test_serial_runner_matches_per_board_idle_loop(workloads):
-    """The batched idle-gap integration is bit-equal to board.step loops."""
-    reference = _reference_chain(
-        ThermalMode.NO_FAN, workloads, initial_temp_c=30.0, idle_gap_s=7.0
-    )
-    runner = ScenarioRunner(
-        ThermalMode.NO_FAN, initial_temp_c=30.0, idle_gap_s=7.0
-    )
-    results = runner.run(workloads)
-    assert [result_bytes(r) for r in reference] == [
-        result_bytes(r) for r in results
-    ]
+    """The held-power idle intervals track the per-substep-power
+    ``board.step`` loop to within 0.01 K (true temperatures); a sensed
+    reading may flip by at most one sensor quantum."""
+    for mode, gap_s in (
+        (ThermalMode.NO_FAN, 7.0),
+        (ThermalMode.NO_FAN, 0.7),  # shorter than one idle interval
+        (ThermalMode.DEFAULT_WITH_FAN, 37.5),  # ragged tail interval
+    ):
+        reference, ref_carry = _reference_chain(
+            mode, workloads, initial_temp_c=30.0, idle_gap_s=gap_s
+        )
+        runner = ScenarioRunner(mode, initial_temp_c=30.0, idle_gap_s=gap_s)
+        results = runner.run(workloads)
+        # the first position runs before any gap: byte-identical
+        assert result_bytes(reference[0]) == result_bytes(results[0])
+        for ref, got in zip(reference, results):
+            assert len(ref.trace) == len(got.trace)
+            assert ref.peak_temp_c() == got.peak_temp_c()
+            np.testing.assert_allclose(
+                got.trace.column("true_max_temp_c"),
+                ref.trace.column("true_max_temp_c"),
+                rtol=0.0, atol=0.01,
+            )
+            for column in _SENSED_COLUMNS:
+                np.testing.assert_allclose(
+                    got.trace.column(column), ref.trace.column(column),
+                    rtol=0.0, atol=0.25 + 1e-9,
+                )
+        np.testing.assert_allclose(
+            runner.device_temps_k, ref_carry, rtol=0.0, atol=0.01
+        )
 
 
 def _lane_recipes(models):
@@ -165,6 +192,10 @@ def _lane_recipes(models):
               base_seed=30), [b, b, a]),  # longer chain drops in later
         (dict(mode=ThermalMode.REACTIVE, initial_temp_c=35.0, base_seed=40),
          [a]),
+        # a gap that is not a whole number of idle intervals: its tail
+        # interval advances while other lanes are mid-interval
+        (dict(mode=ThermalMode.DEFAULT_WITH_FAN, initial_temp_c=55.0,
+              idle_gap_s=3.75, base_seed=50), [a, b, a]),
     ]
 
     def runners():
