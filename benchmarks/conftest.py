@@ -20,6 +20,8 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+import time
+from typing import Callable, List, Tuple
 
 import pytest
 
@@ -92,3 +94,22 @@ def save_artifact(name: str, content: str) -> str:
     with open(path, "w") as fh:
         fh.write(content + "\n")
     return path
+
+
+def best_of_interleaved(
+    pairs: int, *runs: Callable[[], object]
+) -> Tuple[List[float], List[object]]:
+    """Time ``runs`` in ``pairs`` interleaved rounds; keep each one's best.
+
+    Every round runs each callable once, in order, so a background hiccup
+    hits one shot of one side instead of deciding a ratio.  Returns each
+    callable's fastest wall time and the value of its last call.
+    """
+    best = [float("inf")] * len(runs)
+    values: List[object] = [None] * len(runs)
+    for _ in range(pairs):
+        for k, run in enumerate(runs):
+            t0 = time.perf_counter()
+            values[k] = run()
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return best, values

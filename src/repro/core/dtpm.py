@@ -10,7 +10,7 @@ overwrites the proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.core.policy import DtpmPolicy, PolicyDecision
 from repro.core.predictor import ThermalForecast, ThermalPredictor
 from repro.errors import BudgetError
 from repro.governors.base import PlatformConfig
+from repro.lanes import lane_groups
 from repro.platform.board import SensorSnapshot
 from repro.platform.specs import PlatformSpec, POWER_RESOURCES, Resource
 from repro.power.model import OperatingPoint, PowerModel
@@ -82,25 +83,53 @@ class DtpmGovernor:
     # ------------------------------------------------------------------
     def operating_point(self, config: PlatformConfig) -> OperatingPoint:
         """Voltage/frequency of each resource under a configuration."""
-        big = little = None
-        if config.cluster is Resource.BIG:
-            big = (
-                self.spec.big_opp.voltage(config.big_freq_hz),
-                config.big_freq_hz,
-            )
-        else:
-            little = (
-                self.spec.little_opp.voltage(config.little_freq_hz),
-                config.little_freq_hz,
-            )
-        gpu = (
-            self.spec.gpu_opp.voltage(config.gpu_freq_hz),
-            config.gpu_freq_hz,
+        vdd, freq, active = DtpmGovernor.operating_arrays([self], [config])
+        return OperatingPoint(
+            *[
+                (float(v), float(f)) if on else None
+                for v, f, on in zip(vdd[0], freq[0], active[0])
+            ]
         )
-        # Memory has no DVFS: model it at its fixed rail with unit frequency
-        # so the alpha*C tracker degenerates into a traffic tracker.
-        mem = (self.spec.mem_vdd, 1.0)
-        return OperatingPoint(big=big, little=little, gpu=gpu, mem=mem)
+
+    @staticmethod
+    def operating_arrays(
+        governors: Sequence["DtpmGovernor"],
+        configs: Sequence[PlatformConfig],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(vdd, frequency_hz, active)`` of every lane, each (B, 4).
+
+        Columns follow [big, little, gpu, mem].  Only the cluster a
+        configuration runs on is active.  Memory has no DVFS: it is
+        modelled at its fixed rail with unit frequency, so the alpha*C
+        tracker degenerates into a traffic tracker.  The V(f) curves are
+        elementwise arithmetic, so each platform spec evaluates its lanes'
+        frequency columns in one call.
+        """
+        on_big = np.array([c.cluster is Resource.BIG for c in configs])
+        freq = np.array(
+            [
+                (c.big_freq_hz, c.little_freq_hz, c.gpu_freq_hz, 1.0)
+                for c in configs
+            ]
+        )
+        vdd = np.empty_like(freq)
+        specs = [g.spec for g in governors]
+        # specs built apart are distinct objects that still share their OPP
+        # tables, so group on what the V(f) evaluation actually reads
+        keys = [
+            (id(s.big_opp), id(s.little_opp), id(s.gpu_opp), s.mem_vdd)
+            for s in specs
+        ]
+        for first, lanes in lane_groups(keys):
+            spec = specs[first]
+            vdd[lanes, 0] = spec.big_opp.voltage(freq[lanes, 0])
+            vdd[lanes, 1] = spec.little_opp.voltage(freq[lanes, 1])
+            vdd[lanes, 2] = spec.gpu_opp.voltage(freq[lanes, 2])
+            vdd[lanes, 3] = spec.mem_vdd
+        active = np.ones(freq.shape, dtype=bool)
+        active[:, 0] = on_big
+        active[:, 1] = ~on_big
+        return vdd, freq, active
 
     def predicted_power_vector(
         self,
@@ -179,7 +208,7 @@ class DtpmGovernor:
         proposal: PlatformConfig,
         gpu_active: bool = False,
     ) -> DtpmOutcome:
-        """One DTPM control interval.
+        """One DTPM control interval; the B=1 view of :meth:`control_batch`.
 
         Parameters
         ----------
@@ -194,30 +223,94 @@ class DtpmGovernor:
             Whether the GPU is meaningfully loaded (drives the last-resort
             GPU throttle).
         """
-        # 1. feed the measurement into the power model (alpha*C tracking)
-        t_hot = float(np.max(snapshot.temperatures_k))
-        self.power_model.observe_vector(
-            snapshot.powers_w, t_hot, self.operating_point(current)
+        return DtpmGovernor.control_batch(
+            [self], [snapshot], [current], [proposal], [gpu_active]
+        )[0]
+
+    @staticmethod
+    def control_batch(
+        governors: Sequence["DtpmGovernor"],
+        snapshots: Sequence[SensorSnapshot],
+        currents: Sequence[PlatformConfig],
+        proposals: Sequence[PlatformConfig],
+        gpu_active: Sequence[bool],
+    ) -> List[DtpmOutcome]:
+        """One control interval of ``B`` governors, one per lane.
+
+        The alpha*C update and the horizon forecast run once over the
+        (B, 4) batch; the budget and assignment of Ch. 5 run per lane, and
+        only do real work where a violation is predicted (or a lane on
+        the little cluster tests its way back to big).  Every stage is
+        elementwise over the lanes, so outcome ``b`` equals
+        ``governors[b].control(...)`` run alone.
+        """
+        temps = np.array([s.temperatures_k for s in snapshots], dtype=float)
+        powers = np.array([s.powers_w for s in snapshots], dtype=float)
+
+        # 1. feed the measurements into the power models (alpha*C tracking)
+        vdd, freq, active = DtpmGovernor.operating_arrays(governors, currents)
+        PowerModel.observe_vector_batch(
+            [g.power_model for g in governors],
+            powers,
+            np.max(temps, axis=1),
+            vdd,
+            freq,
+            active,
         )
 
         # optional state filtering through the identified model
-        temps_k = snapshot.temperatures_k
-        if self.observer is not None:
-            temps_k = self.observer.update(temps_k, snapshot.powers_w)
+        filtered = [
+            s.temperatures_k if g.observer is None
+            else g.observer.update(s.temperatures_k, s.powers_w)
+            for g, s in zip(governors, snapshots)
+        ]
 
-        # 2. predict the thermal outcome of the default proposal
-        p_vec = self.predicted_power_vector(snapshot, current, proposal)
-        forecast = self.predictor.forecast(
-            temps_k, p_vec, self.config.t_constraint_k
+        # 2. the power vector each lane's default proposal would draw
+        p_vec = np.array(
+            [
+                g.predicted_power_vector(s, c, p)
+                for g, s, c, p in zip(governors, snapshots, currents, proposals)
+            ]
         )
 
+        # 3. predict the thermal outcome of the default proposals
+        forecasts = ThermalPredictor.forecast_batch(
+            [g.predictor for g in governors],
+            np.array(filtered, dtype=float),
+            p_vec,
+            [g.config.t_constraint_k for g in governors],
+        )
+
+        # 4. pass through, return to big, or budget and reassign
+        outcomes = []
+        for lane, governor in enumerate(governors):  # repro-lint: disable=RPR032 -- the budget/assignment tail is scalar per lane by design; quiet lanes return after one branch
+            outcomes.append(
+                governor._decide(
+                    forecasts[lane],
+                    filtered[lane],
+                    snapshots[lane].powers_w,
+                    proposals[lane],
+                    gpu_active[lane],
+                )
+            )
+        return outcomes
+
+    def _decide(
+        self,
+        forecast: ThermalForecast,
+        temps_k: np.ndarray,
+        powers_w: np.ndarray,
+        proposal: PlatformConfig,
+        gpu_active: bool,
+    ) -> DtpmOutcome:
+        """The per-lane tail of :meth:`control_batch` after the forecast."""
         if not forecast.violation:
             # non-intrusive path; possibly migrate back to big
             decision = self.policy.consider_return_to_big(
                 self.budget_computer,
                 self.power_model,
                 temps_k,
-                snapshot.powers_w,
+                powers_w,
                 proposal,
                 self.config.t_constraint_k,
             )
@@ -228,14 +321,14 @@ class DtpmGovernor:
                 decision=decision,
             )
 
-        # 3. violation predicted: compute the budget and reassign
+        # violation predicted: compute the budget and reassign
         resource = (
             Resource.BIG if proposal.cluster is Resource.BIG else Resource.LITTLE
         )
         try:
             budget = self.budget_computer.compute(
                 temps_k,
-                snapshot.powers_w,
+                powers_w,
                 self.config.t_constraint_k,
                 resource=resource,
             )
@@ -259,7 +352,7 @@ class DtpmGovernor:
             self.budget_computer,
             self.power_model,
             temps_k,
-            snapshot.powers_w,
+            powers_w,
             proposal,
             self.config.t_constraint_k,
             gpu_active,

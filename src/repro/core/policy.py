@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.core.budget import BudgetResult, PowerBudgetComputer
-from repro.errors import ConfigurationError
+from repro.errors import BudgetError, ConfigurationError
 from repro.governors.base import PlatformConfig
 from repro.platform.specs import PlatformSpec, Resource
 from repro.power.model import PowerModel
@@ -336,7 +336,7 @@ class DtpmPolicy:
                 t_constraint_k - self.return_margin_k,
                 resource=Resource.BIG,
             )
-        except Exception:
+        except BudgetError:
             self._return_counter = 0
             return None
         entry_power = self.predicted_cluster_power_w(

@@ -8,10 +8,12 @@ ahead for a hypothetical power vector, and flag predicted violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import ModelError
+from repro.lanes import lane_groups
 from repro.thermal.state_space import DiscreteThermalModel
 
 
@@ -58,18 +60,59 @@ class ThermalPredictor:
 
         The violation test applies the guard band: a prediction within
         ``guard_band_k`` of the constraint already counts as a violation so
-        the controller acts one interval early rather than one late.
+        the controller acts one interval early rather than one late.  The
+        B=1 view of :meth:`forecast_batch`.
         """
-        pred = self.model.predict_n_constant(temps_k, powers_w, self.horizon_steps)
-        max_t = float(np.max(pred))
-        limit = t_constraint_k - self.guard_band_k
-        return ThermalForecast(
-            temps_k=pred,
-            max_temp_k=max_t,
-            hottest_core=int(np.argmax(pred)),
-            violation=max_t > limit,
-            margin_k=t_constraint_k - max_t,
-        )
+        temps = np.asarray(temps_k, dtype=float).reshape(-1)
+        powers = np.asarray(powers_w, dtype=float).reshape(-1)
+        return ThermalPredictor.forecast_batch(
+            [self], temps[np.newaxis], powers[np.newaxis], [t_constraint_k]
+        )[0]
+
+    @staticmethod
+    def forecast_batch(
+        predictors: Sequence["ThermalPredictor"],
+        temps_k: np.ndarray,
+        powers_w: np.ndarray,
+        t_constraint_k: Sequence[float],
+    ) -> List[ThermalForecast]:
+        """:meth:`forecast` for ``B`` lanes, one predictor per lane.
+
+        ``temps_k`` and ``powers_w`` are (B, N) and (B, M); the
+        constraints are (B,).  Lanes sharing a model and horizon are
+        predicted with one :meth:`DiscreteThermalModel.predict_n_constant_batch`
+        call; the max, argmax and guard-band test run over the batch.
+        """
+        temps = np.atleast_2d(np.asarray(temps_k, dtype=float))
+        powers = np.atleast_2d(np.asarray(powers_w, dtype=float))
+        limits = np.asarray(t_constraint_k, dtype=float).reshape(-1)
+        if not len(predictors) == temps.shape[0] == limits.shape[0]:
+            raise ModelError(
+                "%d predictors, %d temperature rows, %d constraints"
+                % (len(predictors), temps.shape[0], limits.shape[0])
+            )
+        pred = np.empty_like(temps)
+        keys = [(id(p.model), p.horizon_steps) for p in predictors]
+        for first, lanes in lane_groups(keys):
+            head = predictors[first]
+            pred[lanes] = head.model.predict_n_constant_batch(
+                temps[lanes], powers[lanes], head.horizon_steps
+            )
+        guard = np.array([p.guard_band_k for p in predictors])
+        max_t = np.max(pred, axis=1)
+        hottest = np.argmax(pred, axis=1).tolist()
+        violation = (max_t > limits - guard).tolist()
+        margin = (limits - max_t).tolist()
+        return [
+            ThermalForecast(
+                temps_k=pred[lane],
+                max_temp_k=float(max_t[lane]),
+                hottest_core=hottest[lane],
+                violation=violation[lane],
+                margin_k=margin[lane],
+            )
+            for lane in range(len(predictors))
+        ]
 
     def forecast_trajectory(
         self, temps_k: np.ndarray, power_trajectory: np.ndarray

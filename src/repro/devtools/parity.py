@@ -39,10 +39,12 @@ HOT_BATCH_MODULES = (
     "thermal/kernels.py",
     "platform/state.py",
     "power/batch.py",
+    "platform/sensors.py",
+    "core/dtpm.py",
 )
 
 #: Identifier names that (heuristically) denote the batch axis.
-BATCH_AXIS_NAMES = frozenset({"boards", "lanes", "batch"})
+BATCH_AXIS_NAMES = frozenset({"boards", "lanes", "batch", "banks", "governors"})
 
 
 def _qualified_defs(tree: ast.Module) -> Dict[str, int]:

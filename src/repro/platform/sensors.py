@@ -9,7 +9,7 @@ estimate carry the same error structure as on real hardware.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,9 @@ class SensorBank:
 
     Four thermal sensors (one per big core -- the hotspots) and four power
     sensors (big cluster, little cluster, GPU, memory), mirroring the
-    Odroid-XU+E instrumentation.
+    Odroid-XU+E instrumentation.  The sensors' noise, quantum and floor
+    settings are folded into arrays once, at construction, for the
+    batched read (:meth:`read_all_batch`).
     """
 
     def __init__(
@@ -89,6 +91,18 @@ class SensorBank:
         self.power: List[PowerSensor] = [
             PowerSensor(rng, power_noise_rel) for _ in range(num_power)
         ]
+        sigma = [s.noise_sigma_k for s in self.thermal]
+        rel = [s.relative_noise for s in self.power]
+        # [sigma..., quantum..., relative noise..., floor...]: this bank's
+        # row of the batched parameter table
+        self._params = np.array(
+            sigma
+            + [s.quantum_k for s in self.thermal]
+            + rel
+            + [s.floor_w for s in self.power]
+        )
+        #: Gaussians one read draws: one per noisy sensor.
+        self._draws = sum(v > 0 for v in sigma + rel)
 
     def read_temperatures(self, true_temps_k: Sequence[float]) -> np.ndarray:
         """Read all thermal sensors against the true hotspot temperatures."""
@@ -113,48 +127,76 @@ class SensorBank:
     def read_all(
         self, true_temps_k: Sequence[float], true_powers_w: Sequence[float]
     ) -> tuple:
-        """Vectorised read of every sensor in one call.
+        """Read every sensor once; the B=1 view of :meth:`read_all_batch`.
 
-        Returns ``(temperatures_k, powers_w)``.  Consumes the shared RNG
-        stream exactly like :meth:`read_temperatures` followed by
-        :meth:`read_powers` -- one Gaussian per noisy sensor, in sensor
-        order -- and applies the same quantisation/floor arithmetic, so
-        the values are bit-identical to the scalar reads.  (``normal(0,
-        sigma)`` is ``sigma * standard_normal()`` in the generator's C
-        implementation, which is what lets one array draw replace the
-        per-sensor scalar draws.)
+        Returns ``(temperatures_k, powers_w)``, bit-identical to
+        :meth:`read_temperatures` followed by :meth:`read_powers`.
         """
         temps = np.asarray(true_temps_k, dtype=float)
         powers = np.asarray(true_powers_w, dtype=float)
-        if temps.shape[0] != len(self.thermal):
+        out_t, out_p = SensorBank.read_all_batch(
+            [self], temps[np.newaxis], powers[np.newaxis]
+        )
+        return out_t[0], out_p[0]
+
+    @staticmethod
+    def read_all_batch(
+        banks: Sequence["SensorBank"],
+        true_temps_k: np.ndarray,
+        true_powers_w: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read every sensor of ``B`` banks (one per lane) at once.
+
+        ``true_temps_k`` is (B, num_thermal), ``true_powers_w`` is
+        (B, num_power); returns the readings in the same shapes.  Each
+        bank draws one Gaussian per noisy sensor from its own RNG, all
+        in one ``standard_normal`` call, thermal sensors first -- the
+        stream the per-sensor scalar reads consume (``normal(0, sigma)``
+        is ``sigma * standard_normal()`` in the generator's C code, and
+        one array draw equals consecutive scalar draws).  The noise,
+        quantisation and floor arithmetic then runs elementwise on the
+        whole batch, so row ``b`` equals a standalone read of bank ``b``.
+        """
+        temps = np.asarray(true_temps_k, dtype=float)
+        powers = np.asarray(true_powers_w, dtype=float)
+        n_t, n_p = len(banks[0].thermal), len(banks[0].power)
+        if any(
+            len(bank.thermal) != n_t or len(bank.power) != n_p
+            for bank in banks
+        ):
+            raise ConfigurationError("batched sensor banks differ in shape")
+        if temps.ndim != 2 or temps.shape != (len(banks), n_t):
             raise ConfigurationError(
                 "expected %d temperatures, got %d"
-                % (len(self.thermal), temps.shape[0])
+                % (n_t, temps.shape[-1] if temps.ndim else 0)
             )
-        if powers.shape[0] != len(self.power):
+        if powers.ndim != 2 or powers.shape != (len(banks), n_p):
             raise ConfigurationError(
-                "expected %d powers, got %d" % (len(self.power), powers.shape[0])
+                "expected %d powers, got %d"
+                % (n_p, powers.shape[-1] if powers.ndim else 0)
             )
 
-        sigma = np.array([s.noise_sigma_k for s in self.thermal])
-        quantum = np.array([s.quantum_k for s in self.thermal])
-        noisy = sigma > 0
-        out_t = temps.copy()
-        if np.any(noisy):
-            out_t[noisy] += sigma[noisy] * self._rng.standard_normal(
-                int(np.sum(noisy))
-            )
+        params = np.array([bank._params for bank in banks])
+        sigma = params[:, :n_t]
+        quantum = params[:, n_t:2 * n_t]
+        rel = params[:, 2 * n_t:2 * n_t + n_p]
+        floor = params[:, 2 * n_t + n_p:]
+        noisy = np.concatenate([sigma > 0, rel > 0], axis=1)
+
+        draws = []
+        for bank in banks:  # repro-lint: disable=RPR032 -- each lane's RNG stream is consumed in serial lane order for bit-parity with standalone reads
+            draws.append(bank._rng.standard_normal(bank._draws))
+        z = np.zeros(noisy.shape)
+        # boolean-mask assignment fills row-major: lane by lane, sensor by
+        # sensor -- the order the draws were made in
+        z[noisy] = np.concatenate(draws)
+
+        out_t = np.where(noisy[:, :n_t], temps + sigma * z[:, :n_t], temps)
         quantised = quantum > 0
         q_safe = np.where(quantised, quantum, 1.0)
         out_t = np.where(quantised, np.round(out_t / q_safe) * q_safe, out_t)
 
-        rel = np.array([s.relative_noise for s in self.power])
-        floor = np.array([s.floor_w for s in self.power])
-        noisy_p = rel > 0
-        out_p = powers.copy()
-        if np.any(noisy_p):
-            out_p[noisy_p] *= 1.0 + rel[noisy_p] * self._rng.standard_normal(
-                int(np.sum(noisy_p))
-            )
-        out_p = np.maximum(floor, out_p)
-        return out_t, out_p
+        out_p = np.where(
+            noisy[:, n_t:], powers * (1.0 + rel * z[:, n_t:]), powers
+        )
+        return out_t, np.maximum(floor, out_p)

@@ -70,6 +70,16 @@ class AlphaCEstimator:
         self._samples += 1
         return self._alpha_c
 
+    def commit(self, alpha_c_f: float) -> None:
+        """Absorb one sample whose update was computed elsewhere.
+
+        :meth:`repro.power.model.PowerModel.observe_vector_batch` runs
+        the clamp and EWMA of :meth:`update` for many estimators at once
+        and stores each result here.
+        """
+        self._alpha_c = alpha_c_f
+        self._samples += 1
+
 
 class DynamicPowerModel:
     """Predicts dynamic power from the tracked alpha*C product.

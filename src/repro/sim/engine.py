@@ -24,13 +24,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.core.dtpm import DtpmGovernor
+from repro.core.dtpm import DtpmGovernor, DtpmOutcome
 from repro.errors import ConfigurationError
 from repro.governors.base import LoadSample, PlatformConfig
 from repro.governors.idle import IdleGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.reactive import ReactiveThrottleGovernor
 from repro.platform.board import OdroidBoard, SensorSnapshot
+from repro.platform.sensors import SensorBank
 from repro.platform.specs import (
     HOTPLUG_PENALTY_S,
     PlatformSpec,
@@ -364,38 +365,58 @@ class BatchSimulator:
             self.plant.scatter(state, active)
             hotspots = self.plant.hotspots_k(state)
 
-            # 3-6. per-lane control: governors, thermal layer, actuation,
-            # recording -- each lane exactly as a standalone run
+            # 3. read every lane's sensors in one batched call
+            sims = [lanes[i].sim for i in active]
+            temps_k, powers_w = SensorBank.read_all_batch(
+                [sim.board.sensors for sim in sims], hotspots, state.powers_w
+            )
+            snapshots = [
+                SensorSnapshot(
+                    time_s=sim.board.time_s,
+                    temperatures_k=temps_k[pos],
+                    powers_w=powers_w[pos],
+                    platform_power_w=sim.board.meter.last_reading_w,
+                )
+                for pos, sim in enumerate(sims)
+            ]
+
+            # 4. default governors propose (per lane), then the DTPM lanes
+            # run their control plane as one batch
+            proposals = [
+                sim._propose(scheds[pos], lanes[i].current, snapshots[pos].time_s)
+                for pos, (i, sim) in enumerate(zip(active, sims))
+            ]
+            dtpm_pos = [
+                pos for pos, sim in enumerate(sims)
+                if sim.mode is ThermalMode.DTPM
+            ]
+            outcomes: List[Optional[DtpmOutcome]] = [None] * len(active)
+            if dtpm_pos:
+                batch = DtpmGovernor.control_batch(
+                    [sims[pos].dtpm for pos in dtpm_pos],
+                    [snapshots[pos] for pos in dtpm_pos],
+                    [lanes[active[pos]].current for pos in dtpm_pos],
+                    [proposals[pos] for pos in dtpm_pos],
+                    [sims[pos].workload.uses_gpu for pos in dtpm_pos],
+                )
+                for pos, outcome in zip(dtpm_pos, batch):
+                    outcomes[pos] = outcome
+
+            # 5-6. actuation and recording -- each lane exactly as a
+            # standalone run
             still_active = []
             for pos, i in enumerate(active):
                 lane = lanes[i]
-                sim = lane.sim
-                sched = scheds[pos]
-                lane.progress.retire(sched.work_gcycles, dt)
-                temps_k, powers_w = sim.board.sensors.read_all(
-                    hotspots[pos], state.powers_w[pos]
-                )
-                snapshot = SensorSnapshot(
-                    time_s=sim.board.time_s,
-                    temperatures_k=temps_k,
-                    powers_w=powers_w,
-                    platform_power_w=sim.board.meter.last_reading_w,
-                )
-
-                proposal = sim._propose(sched, lane.current, snapshot.time_s)
-
-                outcome = None
+                lane.progress.retire(scheds[pos].work_gcycles, dt)
+                sim = sims[pos]
+                snapshot = snapshots[pos]
+                proposal = proposals[pos]
+                outcome = outcomes[pos]
                 if sim.mode is ThermalMode.REACTIVE:
                     final = sim.reactive.control(
                         snapshot.max_temperature_k, proposal
                     )
-                elif sim.mode is ThermalMode.DTPM:
-                    outcome = sim.dtpm.control(
-                        snapshot,
-                        lane.current,
-                        proposal,
-                        gpu_active=sim.workload.uses_gpu,
-                    )
+                elif outcome is not None:
                     final = outcome.config
                 else:
                     final = proposal

@@ -62,6 +62,9 @@ class DiscreteThermalModel:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "offset", offset)
+        # horizon -> read-only (A^n, sum A^i B, sum A^i); not a field, so
+        # equality, repr and the model fingerprint never see it
+        object.__setattr__(self, "_horizons", {})
 
     # ------------------------------------------------------------------
     @property
@@ -107,23 +110,7 @@ class DiscreteThermalModel:
         for every batch size -- the batched controller evaluation can be
         checked lane-for-lane against the scalar one.
         """
-        t = np.atleast_2d(np.asarray(temps, dtype=float))
-        p = np.atleast_2d(np.asarray(powers, dtype=float))
-        if t.shape[1] != self.num_states:
-            raise ModelError(
-                "expected %d temperature columns, got %d"
-                % (self.num_states, t.shape[1])
-            )
-        if p.shape[1] != self.num_inputs:
-            raise ModelError(
-                "expected %d power columns, got %d"
-                % (self.num_inputs, p.shape[1])
-            )
-        if t.shape[0] != p.shape[0]:
-            raise ModelError(
-                "batch sizes differ: %d temps vs %d powers"
-                % (t.shape[0], p.shape[0])
-            )
+        t, p = self._check_batch(temps, powers)
         return (
             np.einsum("ij,bj->bi", self.a, t)
             + np.einsum("ij,bj->bi", self.b, p)
@@ -156,28 +143,57 @@ class DiscreteThermalModel:
     def predict_n_constant(
         self, temps: Sequence[float], powers: Sequence[float], n: int
     ) -> np.ndarray:
-        """``T[k+n]`` assuming the power vector stays constant (Eq. 4.5)."""
-        a_n, m_n, s_n = self.horizon_matrices(n)
+        """``T[k+n]`` assuming the power vector stays constant (Eq. 4.5).
+
+        The B=1 view of :meth:`predict_n_constant_batch`.
+        """
         t = self._check_state(temps)
         p = self._check_input(powers)
-        return a_n @ t + m_n @ p + s_n @ self.offset
+        return self.predict_n_constant_batch(
+            t[np.newaxis], p[np.newaxis], n
+        )[0]
+
+    def predict_n_constant_batch(
+        self, temps: np.ndarray, powers: np.ndarray, n: int
+    ) -> np.ndarray:
+        """Eq. 4.5 with constant power for ``B`` states at once.
+
+        ``temps`` is (B, N) and ``powers`` (B, M); returns (B, N).  Like
+        :meth:`predict_next_batch` it contracts with einsum: a BLAS
+        ``temps @ A_n.T`` reorders the per-row sums and drifts from the
+        per-lane ``A_n @ t`` in the last bit, einsum does not.
+        """
+        a_n, m_n, s_n = self.horizon_matrices(n)
+        t, p = self._check_batch(temps, powers)
+        return (
+            np.einsum("ij,bj->bi", a_n, t)
+            + np.einsum("ij,bj->bi", m_n, p)
+            + s_n @ self.offset
+        )
 
     def horizon_matrices(self, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A^n, sum_i A^i B, sum_i A^i) for an n-step constant-power window.
 
         These are the matrices of Eq. 4.5 specialised to a constant power
         vector; the power-budget computation (Eq. 5.5 generalised to an
-        n-interval window) consumes them directly.
+        n-interval window) consumes them directly.  They are computed once
+        per horizon and returned read-only on every later call.
         """
         if n < 1:
             raise ModelError("horizon must be >= 1 step")
+        cached = self._horizons.get(n)
+        if cached is not None:
+            return cached
         a_pow = np.eye(self.num_states)
         s_n = np.zeros_like(self.a)
         for _ in range(n):
             s_n = s_n + a_pow
             a_pow = self.a @ a_pow
         m_n = s_n @ self.b
-        return a_pow, m_n, s_n
+        for matrix in (a_pow, m_n, s_n):
+            matrix.flags.writeable = False
+        cached = self._horizons[n] = (a_pow, m_n, s_n)
+        return cached
 
     # ------------------------------------------------------------------
     def _check_state(self, temps: Sequence[float]) -> np.ndarray:
@@ -195,3 +211,25 @@ class DiscreteThermalModel:
                 "expected %d powers, got %d" % (self.num_inputs, p.shape[0])
             )
         return p
+
+    def _check_batch(
+        self, temps: np.ndarray, powers: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        t = np.atleast_2d(np.asarray(temps, dtype=float))
+        p = np.atleast_2d(np.asarray(powers, dtype=float))
+        if t.shape[1] != self.num_states:
+            raise ModelError(
+                "expected %d temperature columns, got %d"
+                % (self.num_states, t.shape[1])
+            )
+        if p.shape[1] != self.num_inputs:
+            raise ModelError(
+                "expected %d power columns, got %d"
+                % (self.num_inputs, p.shape[1])
+            )
+        if t.shape[0] != p.shape[0]:
+            raise ModelError(
+                "batch sizes differ: %d temps vs %d powers"
+                % (t.shape[0], p.shape[0])
+            )
+        return t, p

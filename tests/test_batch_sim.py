@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.platform.fan import Fan, FanSpeed, FanThresholds
 from repro.platform.soc import ExynosSoc
-from repro.platform.specs import PlatformSpec, Resource
+from repro.platform.specs import POWER_RESOURCES, PlatformSpec, Resource
 from repro.platform.state import BatchPlant, PlantState
 from repro.power.batch import BatchPowerModel
 from repro.runner import (
@@ -67,19 +67,37 @@ def test_mixed_batch_byte_identical_to_serial_runs():
 
 
 def test_dtpm_lane_in_batch_byte_identical(models):
+    """DTPM lanes of one batch differ in constraint, guard band, sensor
+    noise (so the per-lane RNG draw sizes differ) and in what the control
+    plane does -- intervene, migrate to little, return to big -- and still
+    match their standalone runs byte for byte."""
+    from repro.config import SimulationConfig
     from repro.runner import make_dtpm_governor
+
+    recipes = [
+        # (category, seed, t_constraint_c, guard_band_k, warm, noise)
+        ("high", 3, 58.0, 0.75, 60.0, {}),
+        ("high", 3, 60.0, 2.0, 62.0, {"temp_sensor_noise_c": 0.0}),
+        ("medium", 3, 56.0, 0.0, 62.0, {"power_sensor_noise_rel": 0.0}),
+        ("high", 1, 63.0, 0.75, 52.0, {}),
+        ("high", 2, 63.0, 0.75, 52.0, {}),
+    ]
 
     def sims():
         out = []
-        for seed in (1, 2):
-            workload = synthesize("high", 12.0, threads=2, seed=seed)
+        for category, seed, t_c, guard, warm, noise in recipes:
+            config = SimulationConfig(t_constraint_c=t_c, **noise)
             out.append(
                 Simulator(
-                    workload,
+                    synthesize(category, 12.0, threads=2, seed=seed),
                     ThermalMode.DTPM,
-                    dtpm=make_dtpm_governor(models),
-                    max_duration_s=20.0,
+                    dtpm=make_dtpm_governor(
+                        models, config=config, guard_band_k=guard
+                    ),
+                    config=config,
+                    max_duration_s=25.0,
                     seed=seed,
+                    warm_start_c=warm,
                 )
             )
         out.append(
@@ -96,6 +114,13 @@ def test_dtpm_lane_in_batch_byte_identical(models):
     batched = BatchSimulator(sims()).run()
     for one, many in zip(serial, batched):
         assert result_bytes(one) == result_bytes(many)
+
+    # the batch really exercised every branch of the control plane
+    steps = [np.diff(r.trace.column("cluster_is_big")) for r in batched[:5]]
+    assert all(r.interventions > 0 for r in batched[:3])
+    assert any(r.violations_predicted < len(r.trace) for r in batched[:5])
+    assert any(np.any(d < 0) for d in steps), "no lane migrated to little"
+    assert any(np.any(d > 0) for d in steps), "no lane returned to big"
 
 
 def test_batch_validation_errors():
@@ -265,6 +290,231 @@ def test_state_space_batched_prediction_matches_scalar(models, rng):
         assert np.array_equal(
             thermal.predict_next(temps[lane], powers[lane]), batched[lane]
         )
+
+
+def _sensor_banks(seed):
+    from repro.platform.sensors import SensorBank
+
+    settings = [(0.15, 0.25, 0.01), (0.0, 0.25, 0.01), (0.15, 0.25, 0.0),
+                (0.0, 0.0, 0.0), (0.3, 0.0, 0.02)]
+    return [
+        SensorBank(
+            np.random.default_rng(seed + lane), temp_noise_k=sigma,
+            temp_quantum_k=quantum, power_noise_rel=rel,
+        )
+        for lane, (sigma, quantum, rel) in enumerate(settings)
+    ]
+
+
+def test_sensor_read_all_batch_matches_per_lane_reads(rng):
+    from repro.platform.sensors import SensorBank
+
+    batch_banks, lane_banks = _sensor_banks(7), _sensor_banks(7)
+    for _ in range(20):
+        temps = 300.0 + 50.0 * rng.random((len(batch_banks), 4))
+        powers = 4.0 * rng.random((len(batch_banks), 4))
+        got_t, got_p = SensorBank.read_all_batch(batch_banks, temps, powers)
+        for lane, bank in enumerate(lane_banks):
+            want_t, want_p = bank.read_all(temps[lane], powers[lane])
+            assert np.array_equal(got_t[lane], want_t)
+            assert np.array_equal(got_p[lane], want_p)
+    with pytest.raises(ConfigurationError):
+        SensorBank.read_all_batch(batch_banks, temps[:, :3], powers)
+    with pytest.raises(ConfigurationError):
+        SensorBank.read_all_batch(batch_banks[:2], temps, powers)
+
+
+def _lane_configs(rng, n):
+    from repro.governors.base import PlatformConfig
+
+    spec = PlatformSpec()
+    return [
+        PlatformConfig(
+            cluster=(Resource.BIG, Resource.LITTLE)[int(rng.random() < 0.3)],
+            big_freq_hz=float(rng.choice(spec.big_opp.frequencies_hz)),
+            little_freq_hz=float(rng.choice(spec.little_opp.frequencies_hz)),
+            gpu_freq_hz=float(rng.choice(spec.gpu_opp.frequencies_hz)),
+            big_online=int(rng.integers(3, 5)),
+            little_online=4,
+        )
+        for _ in range(n)
+    ]
+
+
+def test_observe_vector_batch_matches_scalar(models, rng):
+    from repro.core.dtpm import DtpmGovernor
+    from repro.power.model import PowerModel
+    from repro.runner import make_dtpm_governor
+
+    lanes = 6
+    batch_govs = [make_dtpm_governor(models) for _ in range(lanes)]
+    lane_govs = [make_dtpm_governor(models) for _ in range(lanes)]
+    for _ in range(15):
+        configs = _lane_configs(rng, lanes)
+        powers = 3.0 * rng.random((lanes, 4)) + 0.01
+        t_hot = 310.0 + 40.0 * rng.random(lanes)
+        vdd, freq, active = DtpmGovernor.operating_arrays(batch_govs, configs)
+        leak, dynamic = PowerModel.observe_vector_batch(
+            [g.power_model for g in batch_govs], powers, t_hot, vdd, freq,
+            active,
+        )
+        for lane, gov in enumerate(lane_govs):
+            out = gov.power_model.observe_vector(
+                powers[lane], float(t_hot[lane]),
+                gov.operating_point(configs[lane]),
+            )
+            for i, resource in enumerate(POWER_RESOURCES):
+                if not active[lane, i]:
+                    assert resource not in out
+                    continue
+                assert out[resource].leakage_w == leak[lane, i]
+                assert out[resource].dynamic_w == dynamic[lane, i]
+    for batch_gov, lane_gov in zip(batch_govs, lane_govs):
+        for resource in POWER_RESOURCES:
+            a = batch_gov.power_model[resource].dynamic.estimator
+            b = lane_gov.power_model[resource].dynamic.estimator
+            assert (a.alpha_c_f, a.sample_count) == (b.alpha_c_f, b.sample_count)
+
+
+def test_observe_vector_equals_per_resource_update_on_opp_voltages(
+    models, rng
+):
+    """The batched EWMA squares vdd with NumPy (``vdd * vdd``); the scalar
+    estimator with Python's ``pow``.  The two agree on every OPP voltage
+    of the platform, which is what keeps the alpha*C stream unchanged."""
+    from repro.runner import make_dtpm_governor
+
+    spec = PlatformSpec()
+    for table in (spec.big_opp, spec.little_opp, spec.gpu_opp):
+        volts = [table.voltage(f) for f in table.frequencies_hz]
+        assert [v ** 2 for v in volts] == (np.array(volts) ** 2).tolist()
+    assert spec.mem_vdd ** 2 == float(np.array(spec.mem_vdd) ** 2)
+
+    vector_gov, scalar_gov = make_dtpm_governor(models), make_dtpm_governor(models)
+    for config in _lane_configs(rng, 20):
+        powers = 3.0 * rng.random(4) + 0.01
+        t_hot = 310.0 + 40.0 * float(rng.random())
+        point = vector_gov.operating_point(config)
+        vector_gov.power_model.observe_vector(powers, t_hot, point)
+        for i, resource in enumerate(POWER_RESOURCES):
+            if point.for_resource(resource) is not None:
+                vdd, freq = point.for_resource(resource)
+                scalar_gov.power_model[resource].observe(
+                    float(powers[i]), t_hot, vdd, freq
+                )
+        for resource in POWER_RESOURCES:
+            assert (
+                vector_gov.power_model[resource].dynamic.estimator.alpha_c_f
+                == scalar_gov.power_model[resource].dynamic.estimator.alpha_c_f
+            )
+
+
+def test_predict_n_constant_batch_matches_scalar(models, rng):
+    thermal = models.thermal
+    temps = 300.0 + 40.0 * rng.random((9, thermal.num_states))
+    powers = 4.0 * rng.random((9, thermal.num_inputs))
+    for n in (1, 3, 10):
+        batched = thermal.predict_n_constant_batch(temps, powers, n)
+        for lane in range(temps.shape[0]):
+            assert np.array_equal(
+                thermal.predict_n_constant(temps[lane], powers[lane], n),
+                batched[lane],
+            )
+            # the B=1 view equals the pre-batching scalar formula
+            a_n, m_n, s_n = thermal.horizon_matrices(n)
+            assert np.array_equal(
+                a_n @ temps[lane] + m_n @ powers[lane] + s_n @ thermal.offset,
+                batched[lane],
+            )
+
+
+def test_horizon_matrices_memoised_and_read_only(models):
+    thermal = models.thermal
+    first = thermal.horizon_matrices(7)
+    again = thermal.horizon_matrices(7)
+    for a, b in zip(first, again):
+        assert a is b
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    assert thermal.horizon_matrices(8)[0] is not first[0]
+
+
+def test_forecast_batch_matches_scalar(models, rng):
+    from repro.core.predictor import ThermalPredictor
+
+    thermal = models.thermal
+    predictors = [
+        ThermalPredictor(thermal, horizon_steps=h, guard_band_k=g)
+        for h, g in [(10, 0.0), (10, 0.75), (5, 2.0), (10, 0.5), (1, 0.0)]
+    ]
+    lanes = len(predictors)
+    for _ in range(10):
+        temps = 320.0 + 20.0 * rng.random((lanes, 4))
+        powers = 3.0 * rng.random((lanes, 4))
+        limits = 330.0 + 10.0 * rng.random(lanes)
+        batched = ThermalPredictor.forecast_batch(
+            predictors, temps, powers, limits
+        )
+        for lane, predictor in enumerate(predictors):
+            want = predictor.forecast(temps[lane], powers[lane], limits[lane])
+            got = batched[lane]
+            assert np.array_equal(want.temps_k, got.temps_k)
+            assert (want.max_temp_k, want.hottest_core, want.violation,
+                    want.margin_k) == (got.max_temp_k, got.hottest_core,
+                                       got.violation, got.margin_k)
+
+
+def test_control_batch_matches_scalar(models, rng):
+    from repro.config import SimulationConfig
+    from repro.core.dtpm import DtpmGovernor
+    from repro.platform.board import SensorSnapshot
+    from repro.runner import make_dtpm_governor
+
+    recipes = [(63.0, 0.75), (58.0, 0.0), (60.0, 2.0), (55.0, 0.5)]
+
+    def governors():
+        return [
+            make_dtpm_governor(
+                models, config=SimulationConfig(t_constraint_c=t_c),
+                guard_band_k=guard,
+            )
+            for t_c, guard in recipes
+        ]
+
+    batch_govs, lane_govs = governors(), governors()
+    lanes = len(recipes)
+    intervened = quiet = 0
+    for step in range(40):
+        currents = _lane_configs(rng, lanes)
+        proposals = _lane_configs(rng, lanes)
+        snapshots = [
+            SensorSnapshot(
+                time_s=0.1 * step,
+                temperatures_k=celsius_to_kelvin(50.0 + 15.0 * rng.random(4)),
+                powers_w=np.array([2.5, 0.3, 0.4, 0.3]) * rng.random(4) + 0.01,
+                platform_power_w=4.0,
+            )
+            for _ in range(lanes)
+        ]
+        gpu = [bool(rng.random() < 0.5) for _ in range(lanes)]
+        batched = DtpmGovernor.control_batch(
+            batch_govs, snapshots, currents, proposals, gpu
+        )
+        for lane, gov in enumerate(lane_govs):
+            want = gov.control(
+                snapshots[lane], currents[lane], proposals[lane], gpu[lane]
+            )
+            got = batched[lane]
+            assert want.config == got.config
+            assert want.violation_predicted == got.violation_predicted
+            assert want.forecast.margin_k == got.forecast.margin_k
+            assert want.budget == got.budget
+            assert (want.decision is None) == (got.decision is None)
+            if want.decision is not None:
+                assert want.decision.actions == got.decision.actions
+            intervened += int(got.intervened)
+            quiet += int(not got.violation_predicted)
+    assert intervened > 0 and quiet > 0
 
 
 # ---------------------------------------------------------------------------

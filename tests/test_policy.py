@@ -6,6 +6,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.core.budget import PowerBudgetComputer
 from repro.core.policy import DtpmPolicy
+from repro.errors import BudgetError
 from repro.governors.base import PlatformConfig
 from repro.platform.specs import PlatformSpec, Resource
 from repro.power.characterization import default_power_model
@@ -175,6 +176,50 @@ def test_return_counter_resets_when_hot(setup):
     assert policy.consider_return_to_big(
         computer, power_model, cool, powers, little_cfg, c2k(63.0)
     ) is None
+
+
+class _RaisingComputer:
+    """Budget computer stand-in whose ``compute`` raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def compute(self, *args, **kwargs):
+        raise self.error
+
+
+def test_unsolvable_return_budget_resets_counter(setup):
+    spec, config, policy, computer, power_model = setup
+    policy.return_hold_intervals = 2
+    little_cfg = FULL_BIG.with_(cluster=Resource.LITTLE)
+    cool = np.full(4, c2k(40.0))
+    powers = np.array([0.01, 0.3, 0.2, 0.2])
+    assert policy.consider_return_to_big(
+        computer, power_model, cool, powers, little_cfg, c2k(63.0)
+    ) is None
+    # an unusable budget row counts as "not safe to return" ...
+    assert policy.consider_return_to_big(
+        _RaisingComputer(BudgetError("no usable row")),
+        power_model, cool, powers, little_cfg, c2k(63.0),
+    ) is None
+    # ... and restarts the hold: one more cool interval is not enough
+    assert policy.consider_return_to_big(
+        computer, power_model, cool, powers, little_cfg, c2k(63.0)
+    ) is None
+    assert policy.consider_return_to_big(
+        computer, power_model, cool, powers, little_cfg, c2k(63.0)
+    ) is not None
+
+
+def test_return_to_big_does_not_swallow_other_errors(setup):
+    spec, config, policy, computer, power_model = setup
+    little_cfg = FULL_BIG.with_(cluster=Resource.LITTLE)
+    with pytest.raises(ZeroDivisionError):
+        policy.consider_return_to_big(
+            _RaisingComputer(ZeroDivisionError("a real bug")),
+            power_model, np.full(4, c2k(40.0)), POWERS, little_cfg,
+            c2k(63.0),
+        )
 
 
 def test_no_return_logic_when_on_big(setup):
